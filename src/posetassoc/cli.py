@@ -45,6 +45,16 @@ def _parse_parts(text: str, parser: argparse.ArgumentParser, flag: str) -> tuple
         parser.error(f"{flag} expects comma-separated integers")
 
 
+def _depth(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _load_poset(source: str | None, graded: str | None,
                 parser: argparse.ArgumentParser) -> Poset:
     if (source is None) == (graded is None):
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = verbs.add_parser("flip-seq", help="search a flip sequence between two posets")
     _add_poset_source(sub)
     sub.add_argument("other", help="second poset source")
-    sub.add_argument("--max-depth", type=int, default=8)
+    sub.add_argument("--max-depth", type=_depth, default=8)
     sub.set_defaults(handler=_cmd_flip_seq)
 
     return parser

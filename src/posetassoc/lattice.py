@@ -17,12 +17,7 @@ from typing import Iterable, Sequence
 from .errors import MalformedInput, NotATubing, QuotientNotPoset, TooSmall
 from .isomorphism import find_isomorphism
 from .posets import Poset, as_mask, iter_bits, mask_members
-from .tubings import (
-    Tubing,
-    _require_usable,
-    enumerate_tubings,
-    is_proper_tubing,
-)
+from .tubings import TubeComplex, _require_usable, is_proper_tubing
 
 
 @dataclass(frozen=True)
@@ -50,36 +45,33 @@ class FaceLattice:
         return [f for f in self.faces if f.rank == rank]
 
 
-def _tubing_key(tubing: Tubing) -> tuple[int, ...]:
-    return tuple(sorted(tubing))
-
-
 def face_lattice(P: Poset) -> FaceLattice:
     """Face lattice of the tubing complex, tubings ordered by reverse inclusion.
 
     A tubing with one extra tube is one dimension lower and is covered by
-    the smaller tubing.
+    the smaller tubing.  Vertex sets are built bottom-up: the vertices below
+    a face are the union of those below the faces it covers.
     """
     _require_usable(P)
     dim = P.n - 2
-    tubings = sorted(enumerate_tubings(P), key=lambda t: (len(t), _tubing_key(t)))
-    vertex_sets = [t for t in tubings if len(t) == dim]
-    index_of: dict[tuple[int, ...], int] = {}
+    cx = TubeComplex(P)
+    keys = {c: tuple(sorted(cx.tubing(c))) for c in cx.walk()}
+    order = sorted(keys, key=lambda c: (-c.bit_count(), keys[c]))
+    index_of = {c: i for i, c in enumerate(order)}
+    pending: dict[int, set[int]] = {}
     faces = []
-    order = sorted(tubings, key=lambda t: (dim - len(t), _tubing_key(t)))
-    for tubing in order:
-        key = _tubing_key(tubing)
-        verts = frozenset(
-            vid for vid, vset in enumerate(vertex_sets) if tubing <= vset
-        )
-        index_of[key] = len(faces)
-        faces.append(Face(dim - len(tubing), key, verts))
     covers = []
-    for tubing in order:
-        child = index_of[_tubing_key(tubing)]
-        for tube in tubing:
-            parent = index_of[_tubing_key(tubing - {tube})]
+    for child, chosen in enumerate(order):
+        size = chosen.bit_count()
+        # Faces come rank by rank, so every face a face covers is done by
+        # now.  Vertices come first and nothing is pending for them: a
+        # vertex's id is its face index.
+        verts = frozenset(pending.pop(child, (child,)))
+        faces.append(Face(dim - size, keys[chosen], verts))
+        for i in iter_bits(chosen):
+            parent = index_of[chosen ^ (1 << i)]
             covers.append((child, parent))
+            pending.setdefault(parent, set()).update(verts)
     covers.sort()
     return FaceLattice(dim, tuple(faces), tuple(covers))
 
@@ -193,18 +185,20 @@ def two_face_census(P: Poset) -> Counter[int]:
     """Polygon sizes of the 2-faces of the tubing complex.
 
     A 2-face is a tubing with |P| - 4 tubes; its size is the number of
-    maximal tubings containing it.
+    maximal tubings containing it, counted by dropping two tubes from each
+    maximal tubing.
     """
     _require_usable(P)
     if P.n < 4:
         raise TooSmall("2-dimensional faces need at least four elements")
-    tubings = list(enumerate_tubings(P))
-    vertices = [t for t in tubings if len(t) == P.n - 2]
-    census: Counter[int] = Counter()
-    for tubing in tubings:
-        if len(tubing) == P.n - 4:
-            census[sum(1 for v in vertices if tubing <= v)] += 1
-    return census
+    want = P.n - 2
+    sizes: Counter[int] = Counter()
+    for chosen in TubeComplex(P).walk():
+        if chosen.bit_count() == want:
+            bits = [1 << i for i in iter_bits(chosen)]
+            for a, b in itertools.combinations(bits, 2):
+                sizes[chosen ^ a ^ b] += 1
+    return Counter(sizes.values())
 
 
 # -- quotients and face products ----------------------------------------------

@@ -2,8 +2,16 @@
 
 A tube is a bitmask over element indices.  A tubing is a frozenset of tube
 masks.  Compatibility (nested or disjoint) and convexity reduce to mask
-algebra; the inter-tube digraph on each candidate tubing is tiny, so its
-acyclicity is simply recomputed on every insertion.
+algebra.
+
+Tubes are grown output-sensitively from the singletons by adding a Hasse
+neighbour and closing convexly.  All tubing enumeration goes through one
+per-poset engine, ``TubeComplex``, in which each tube carries a
+compatibility bitset and a disjoint-edge bitset over tube indices, so a
+tubing is a bitset over tube indices too.  Tubings are walked with an
+explicit stack of (chosen, candidates) bitsets; a candidate can only close
+a cycle through itself, so acyclicity is checked incrementally by one
+reachability search from the candidate inside the chosen tubes.
 """
 
 from __future__ import annotations
@@ -30,38 +38,13 @@ def _connected_in_hasse(P: Poset, mask: int) -> bool:
     frontier = low
     while frontier:
         reach = 0
-        for i in iter_bits(frontier):
-            reach |= P.hasse_adj[i] & mask
-        frontier = reach & ~seen
+        while frontier:
+            low = frontier & -frontier
+            reach |= P.hasse_adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & mask & ~seen
         seen |= frontier
     return seen == mask
-
-
-def is_proper_tube(P: Poset, members: int | Iterable[int]) -> bool:
-    """At least 2 elements, a proper subset, convex, Hasse-connected."""
-    mask = as_mask(members)
-    if mask.bit_count() < 2 or mask == P.full_mask:
-        return False
-    above = 0
-    below = 0
-    for i in iter_bits(mask):
-        above |= P.up[i]
-        below |= P.down[i]
-    if above & below & ~mask:
-        return False
-    return _connected_in_hasse(P, mask)
-
-
-def enumerate_tubes(P: Poset) -> list[int]:
-    """All proper tubes, sorted by (size, member indices)."""
-    _require_usable(P)
-    tubes = [
-        mask
-        for mask in range(3, P.full_mask)
-        if is_proper_tube(P, mask)
-    ]
-    tubes.sort(key=lambda m: (m.bit_count(), mask_members(m)))
-    return tubes
 
 
 def _upset_of(P: Poset, mask: int) -> int:
@@ -71,6 +54,94 @@ def _upset_of(P: Poset, mask: int) -> int:
     return out
 
 
+def _tube_upset(P: Poset, mask: int) -> int | None:
+    """The strict upset of ``mask`` if it is a proper tube, else None."""
+    if mask.bit_count() < 2 or mask == P.full_mask:
+        return None
+    above = below = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        above |= P.up[i]
+        below |= P.down[i]
+        rest ^= low
+    if above & below & ~mask or not _connected_in_hasse(P, mask):
+        return None
+    return above
+
+
+def is_proper_tube(P: Poset, members: int | Iterable[int]) -> bool:
+    """At least 2 elements, a proper subset, convex, Hasse-connected."""
+    return _tube_upset(P, as_mask(members)) is not None
+
+
+def enumerate_tubes(P: Poset) -> list[int]:
+    """All proper tubes, sorted by (size, member indices).
+
+    Grows Hasse-connected convex sets from the singletons: add one Hasse
+    neighbour, then close convexly.  Every connected convex set is reached,
+    because growing inside it never leaves it, so the cost follows the
+    number of tubes rather than 2^n.
+    """
+    _require_usable(P)
+    up, down, adj = P.up, P.down, P.hasse_adj
+    # (members, strict upset, strict downset); the convex closure of a set
+    # adds only elements between members, so it keeps both.
+    stack = [(1 << i, up[i], down[i]) for i in range(P.n)]
+    seen = {mask for mask, _, _ in stack}
+    while stack:
+        mask, above, below = stack.pop()
+        border = 0
+        for i in iter_bits(mask):
+            border |= adj[i]
+        for j in iter_bits(border & ~mask):
+            grown_above = above | up[j]
+            grown_below = below | down[j]
+            grown = mask | (1 << j) | (grown_above & grown_below)
+            if grown not in seen:
+                seen.add(grown)
+                stack.append((grown, grown_above, grown_below))
+    tubes = [m for m in seen if m.bit_count() >= 2 and m != P.full_mask]
+    tubes.sort(key=lambda m: (m.bit_count(), mask_members(m)))
+    return tubes
+
+
+def _disjoint_edges(tubes: Sequence[int], upsets: Sequence[int]) -> list[int]:
+    """Edge bitsets of the inter-tube digraph, over positions in ``tubes``.
+
+    Bit j of entry i is set when tubes i and j are disjoint and tube i
+    contains an element strictly below one of tube j's (``upsets[i]`` is
+    the strict upset of tube i).
+    """
+    edges = []
+    for s, above in zip(tubes, upsets):
+        row = 0
+        for j, t in enumerate(tubes):
+            if above & t and not s & t:
+                row |= 1 << j
+        edges.append(row)
+    return edges
+
+
+def _closes_cycle(edges: Sequence[int], node: int, within: int) -> bool:
+    """Whether a path from ``node`` through the bitset ``within`` returns to it."""
+    home = 1 << node
+    allowed = within | home
+    seen = frontier = edges[node] & allowed
+    while frontier:
+        if frontier & home:
+            return True
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= edges[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & allowed & ~seen
+        seen |= frontier
+    return False
+
+
 def tube_digraph(P: Poset, tubes: Iterable[int]) -> dict[int, tuple[int, ...]]:
     """Successor lists of the inter-tube digraph.
 
@@ -78,91 +149,83 @@ def tube_digraph(P: Poset, tubes: Iterable[int]) -> dict[int, tuple[int, ...]]:
     and the first contains an element strictly below one of the second's.
     """
     tubes = list(tubes)
-    upsets = {t: _upset_of(P, t) for t in tubes}
-    return {
-        s: tuple(t for t in tubes if t != s and s & t == 0 and upsets[s] & t)
-        for s in tubes
-    }
-
-
-def _digraph_acyclic(succ: dict[int, tuple[int, ...]]) -> bool:
-    state = dict.fromkeys(succ, 0)  # 0 new, 1 on stack, 2 done
-
-    def visit(node: int) -> bool:
-        state[node] = 1
-        for nxt in succ[node]:
-            if state[nxt] == 1:
-                return False
-            if state[nxt] == 0 and not visit(nxt):
-                return False
-        state[node] = 2
-        return True
-
-    return all(state[node] or visit(node) for node in succ)
-
-
-def _pairwise_compatible(tubes: Sequence[int]) -> bool:
-    for a_idx in range(len(tubes)):
-        a = tubes[a_idx]
-        for b in tubes[a_idx + 1 :]:
-            inter = a & b
-            if inter and inter != a and inter != b:
-                return False
-    return True
+    edges = _disjoint_edges(tubes, [_upset_of(P, t) for t in tubes])
+    return {s: tuple(tubes[j] for j in iter_bits(row)) for s, row in zip(tubes, edges)}
 
 
 def is_proper_tubing(P: Poset, tubes: Iterable[int]) -> bool:
-    """Every member a proper tube, pairwise nested or disjoint, digraph acyclic."""
+    """Distinct proper tubes, pairwise nested or disjoint, digraph acyclic."""
     tubes = [as_mask(t) for t in tubes]
     if len(set(tubes)) != len(tubes):
         return False
-    if not all(is_proper_tube(P, t) for t in tubes):
+    upsets = [_tube_upset(P, t) for t in tubes]
+    if None in upsets:
         return False
-    if not _pairwise_compatible(tubes):
-        return False
-    return _digraph_acyclic(tube_digraph(P, tubes))
+    for k, a in enumerate(tubes):
+        for b in tubes[:k]:
+            inter = a & b
+            if inter and inter != a and inter != b:
+                return False
+    # any cycle is caught when its last tube in list order is checked
+    edges = _disjoint_edges(tubes, upsets)
+    return not any(_closes_cycle(edges, k, (1 << k) - 1) for k in range(len(tubes)))
+
+
+class TubeComplex:
+    """The tubes of one poset with the bitsets the tubing walk needs.
+
+    ``compat[i]`` and ``edges[i]`` are bitsets over tube indices: the tubes
+    nested in or disjoint from tube i, and the digraph successors of tube i.
+    """
+
+    def __init__(self, P: Poset):
+        tubes = enumerate_tubes(P)
+        self.tubes = tubes
+        self.edges = _disjoint_edges(tubes, [_upset_of(P, t) for t in tubes])
+        self.compat = [
+            sum(1 << j for j, t in enumerate(tubes) if s != t and s & t in (0, s, t))
+            for s in tubes
+        ]
+
+    def walk(self) -> Iterator[int]:
+        """Yield every proper tubing once as a bitset over tube indices, 0 first.
+
+        A tubing is extended only by tubes of higher index, so each one is
+        reached through its own ascending index list; since every subset of
+        a tubing is one, that list is never pruned.  A candidate that closes
+        a cycle under some tubing does so under all of its extensions, so it
+        is dropped from the candidates passed down.
+        """
+        edges, compat = self.edges, self.compat
+        stack = [(0, (1 << len(self.tubes)) - 1)]
+        while stack:
+            chosen, cand = stack.pop()
+            yield chosen
+            later = 0
+            while cand:
+                k = cand.bit_length() - 1
+                bit = 1 << k
+                cand ^= bit
+                if edges[k] & chosen and _closes_cycle(edges, k, chosen):
+                    continue
+                stack.append((chosen | bit, later & compat[k]))
+                later |= bit
+
+    def tubing(self, chosen: int) -> Tubing:
+        """The tube masks of a walked bitset."""
+        tubes = self.tubes
+        return frozenset(tubes[i] for i in iter_bits(chosen))
 
 
 def enumerate_tubings(P: Poset) -> Iterator[Tubing]:
     """Yield every proper tubing exactly once, the empty one first.
 
-    Depth-first search that only ever appends tubes later in the global
-    tube order; any subset of a proper tubing is again one, so each tubing
-    is reached through its own sorted tube list and no state is missed.
+    The order of the rest is unspecified; callers sort or count.
     """
     _require_usable(P)
-    tubes = enumerate_tubes(P)
-    upset = {t: _upset_of(P, t) for t in tubes}
-    chosen: list[int] = []
-
-    def acyclic_with(cand: int) -> bool:
-        members = chosen + [cand]
-        succ = {
-            s: tuple(t for t in members if t != s and s & t == 0 and upset[s] & t)
-            for s in members
-        }
-        return _digraph_acyclic(succ)
-
-    def extend(start: int) -> Iterator[Tubing]:
-        yield frozenset(chosen)
-        for k in range(start, len(tubes)):
-            cand = tubes[k]
-            ok = True
-            has_disjoint = False
-            for t in chosen:
-                inter = t & cand
-                if not inter:
-                    has_disjoint = True
-                elif inter != t and inter != cand:
-                    ok = False
-                    break
-            # nested additions create no digraph edges, so no new cycles
-            if ok and (not has_disjoint or acyclic_with(cand)):
-                chosen.append(cand)
-                yield from extend(k + 1)
-                chosen.pop()
-
-    yield from extend(0)
+    cx = TubeComplex(P)
+    for chosen in cx.walk():
+        yield cx.tubing(chosen)
 
 
 def f_vector(P: Poset) -> tuple[int, ...]:
@@ -174,8 +237,8 @@ def f_vector(P: Poset) -> tuple[int, ...]:
     _require_usable(P)
     d = P.n - 2
     counts = [0] * (d + 1)
-    for tubing in enumerate_tubings(P):
-        counts[d - len(tubing)] += 1
+    for chosen in TubeComplex(P).walk():
+        counts[d - chosen.bit_count()] += 1
     return tuple(counts)
 
 
@@ -192,8 +255,9 @@ def maximal_tubings(P: Poset) -> list[Tubing]:
     """All tubings with |P| - 2 tubes; these are the vertices."""
     _require_usable(P)
     want = P.n - 2
-    found = [t for t in enumerate_tubings(P) if len(t) == want]
-    found.sort(key=lambda t: sorted(t))
+    cx = TubeComplex(P)
+    found = [cx.tubing(c) for c in cx.walk() if c.bit_count() == want]
+    found.sort(key=sorted)
     return found
 
 

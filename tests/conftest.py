@@ -1,8 +1,10 @@
-"""Shared corpora and independent brute-force oracles.
+"""Shared corpora, independent brute-force oracles, and slow reference paths.
 
 The oracles here deliberately avoid the package's bitmask machinery: they
 work on label pairs and plain sets, and use networkx for cycle detection,
-so a bug in the fast path cannot hide in its own re-check.
+so a bug in the fast path cannot hide in its own re-check.  The slow
+reference enumerators at the end are the straightforward mask scans the
+fast engine replaced; the differential tests compare the two.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import networkx as nx
 import pytest
 
-from posetassoc import Poset, connected_posets, mask_members
+from posetassoc import Poset, connected_posets, is_proper_tube, mask_members
 
 
 def corpus(max_n: int, min_n: int = 2) -> list[Poset]:
@@ -114,3 +116,108 @@ def oracle_autonomous(P: Poset, members: frozenset[int]) -> bool:
 
 def masks_to_sets(tubing) -> set[frozenset[int]]:
     return {frozenset(mask_members(t)) for t in tubing}
+
+
+# -- slow reference enumerators -------------------------------------------------
+#
+# The package's first enumerators, kept as differential oracles for the
+# bitset engine: a scan of all 2^n masks for tubes, and a recursive search
+# that rebuilds the candidate's tube digraph and checks it by recursive DFS.
+
+
+def scan_tubes(P: Poset) -> list[int]:
+    """All proper tubes by testing every mask, sorted by (size, members)."""
+    tubes = [mask for mask in range(3, P.full_mask) if is_proper_tube(P, mask)]
+    tubes.sort(key=lambda m: (m.bit_count(), mask_members(m)))
+    return tubes
+
+
+def _scan_upset(P: Poset, mask: int) -> int:
+    out = 0
+    for i in mask_members(mask):
+        out |= P.up[i]
+    return out
+
+
+def _recursive_acyclic(succ: dict[int, tuple[int, ...]]) -> bool:
+    state = dict.fromkeys(succ, 0)  # 0 new, 1 on stack, 2 done
+
+    def visit(node: int) -> bool:
+        state[node] = 1
+        for nxt in succ[node]:
+            if state[nxt] == 1:
+                return False
+            if state[nxt] == 0 and not visit(nxt):
+                return False
+        state[node] = 2
+        return True
+
+    return all(state[node] or visit(node) for node in succ)
+
+
+def recursive_tubings(P: Poset):
+    """Every proper tubing as a frozenset of masks, the empty one first.
+
+    Depth-first search that only appends tubes later in scan_tubes order and
+    recomputes the digraph of the whole candidate tubing on every insertion.
+    """
+    tubes = scan_tubes(P)
+    upset = {t: _scan_upset(P, t) for t in tubes}
+    chosen: list[int] = []
+
+    def acyclic_with(cand: int) -> bool:
+        members = chosen + [cand]
+        succ = {
+            s: tuple(t for t in members if t != s and s & t == 0 and upset[s] & t)
+            for s in members
+        }
+        return _recursive_acyclic(succ)
+
+    def extend(start: int):
+        yield frozenset(chosen)
+        for k in range(start, len(tubes)):
+            cand = tubes[k]
+            ok = True
+            has_disjoint = False
+            for t in chosen:
+                inter = t & cand
+                if not inter:
+                    has_disjoint = True
+                elif inter != t and inter != cand:
+                    ok = False
+                    break
+            # nested additions create no digraph edges, so no new cycles
+            if ok and (not has_disjoint or acyclic_with(cand)):
+                chosen.append(cand)
+                yield from extend(k + 1)
+                chosen.pop()
+
+    yield from extend(0)
+
+
+def recursive_f_vector(P: Poset) -> tuple[int, ...]:
+    d = P.n - 2
+    counts = [0] * (d + 1)
+    for tubing in recursive_tubings(P):
+        counts[d - len(tubing)] += 1
+    return tuple(counts)
+
+
+def scan_face_vertices(P: Poset) -> dict[tuple[int, ...], frozenset[int]]:
+    """Face key to vertex ids, by testing every tubing against every vertex.
+
+    Vertex ids number the maximal tubings in sorted-key order, as in
+    FaceLattice; a face's key is its sorted tube masks.
+    """
+    tubings = list(recursive_tubings(P))
+    vertices = sorted(
+        (tuple(sorted(t)) for t in tubings if len(t) == P.n - 2)
+    )
+    vertex_sets = [frozenset(v) for v in vertices]
+    return {
+        tuple(sorted(t)): frozenset(
+            vid for vid, vset in enumerate(vertex_sets) if t <= vset
+        )
+        for t in tubings
+    }
+

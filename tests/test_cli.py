@@ -84,6 +84,12 @@ class TestFVector:
         assert lines[1] == "f_0,f_1,f_2"
         assert lines[2] == "5,5,1"
 
+    def test_eleven_chain_has_catalan_vertices(self, capsys, poset_file):
+        code, data = invoke_json(capsys, "fvector", poset_file(chain(11)))
+        assert code == 0
+        assert data["f"][0] == 16796  # Catalan(10)
+        assert data["f"][-1] == 1
+
 
 class TestHVector:
     def test_pentagon(self, capsys):
@@ -107,6 +113,12 @@ class TestTubes:
         code, data = invoke_json(capsys, "tubes", poset_file(chain(13)))
         assert code == 0
         assert len(data["tubes"]) == sum(range(2, 13))
+
+    def test_forty_chain(self, capsys, poset_file):
+        # every interval of at least two elements except the whole chain
+        code, data = invoke_json(capsys, "tubes", poset_file(chain(40)))
+        assert code == 0
+        assert len(data["tubes"]) == 40 * 39 // 2 - 1
 
 
 class TestTubings:
@@ -268,6 +280,13 @@ class TestFlipSeq:
             capsys, "flip-seq", "graded:1,2", "graded:2,1", "--max-depth", "0"
         )
         assert code == 0 and data["reason"] == "DepthExhausted"
+
+    @pytest.mark.parametrize("depth", ["-3", "two"])
+    def test_bad_depth_is_usage_error(self, capsys, depth):
+        with pytest.raises(SystemExit) as err:
+            run(["flip-seq", "graded:1,2", "graded:2,1", "--max-depth", depth])
+        assert err.value.code == 2
+        assert "--max-depth" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -1,0 +1,96 @@
+"""The bitset tube engine against the slow reference enumerators."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from posetassoc import (
+    Poset,
+    enumerate_tubes,
+    enumerate_tubings,
+    f_vector,
+    face_lattice,
+    maximal_tubings,
+)
+
+from conftest import (
+    corpus,
+    recursive_f_vector,
+    recursive_tubings,
+    scan_face_vertices,
+    scan_tubes,
+)
+
+
+@pytest.fixture(scope="module")
+def connected_upto_6():
+    return corpus(6)
+
+
+class TestCatalogAgainstSlowPath:
+    """Every connected poset on 2-6 elements, up to isomorphism."""
+
+    def test_tube_lists(self, connected_upto_6):
+        for P in connected_upto_6:
+            assert enumerate_tubes(P) == scan_tubes(P)
+
+    def test_tubing_sets(self, connected_upto_6):
+        for P in connected_upto_6:
+            fast = list(enumerate_tubings(P))
+            assert fast[0] == frozenset()
+            assert len(fast) == len(set(fast))
+            assert set(fast) == set(recursive_tubings(P))
+
+    def test_f_vectors(self, connected_upto_6):
+        for P in connected_upto_6:
+            assert f_vector(P) == recursive_f_vector(P)
+
+    def test_maximal_tubings(self, connected_upto_6):
+        for P in connected_upto_6:
+            want = sorted(
+                (t for t in recursive_tubings(P) if len(t) == P.n - 2), key=sorted
+            )
+            assert maximal_tubings(P) == want
+
+    def test_face_lattice_vertex_sets(self, connected_upto_6):
+        for P in connected_upto_6:
+            faces = {face.key: face.vertices for face in face_lattice(P).faces}
+            assert faces == scan_face_vertices(P)
+
+
+@st.composite
+def connected_posets_7_to_9(draw) -> Poset:
+    """A random tree with randomly oriented edges connects the elements;
+    extra relations follow a linear extension of the tree, so no cycle forms.
+    """
+    n = draw(st.integers(7, 9))
+    tree = []
+    for child in range(1, n):
+        parent = draw(st.integers(0, child - 1))
+        tree.append((parent, child) if draw(st.booleans()) else (child, parent))
+    base = Poset.from_relations([f"v{i}" for i in range(n)], tree)
+    # strictly more elements lie below an element than below any element under it
+    rank = [base.down[i].bit_count() for i in range(n)]
+    extra = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if rank[a] < rank[b] and draw(st.integers(0, 5)) == 0
+    ]
+    return Poset.from_relations(base.labels, tree + extra)
+
+
+class TestRandomAgainstSlowPath:
+    """Hypothesis-drawn connected posets larger than the catalog."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(connected_posets_7_to_9())
+    def test_tube_lists(self, P):
+        assert enumerate_tubes(P) == scan_tubes(P)
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(connected_posets_7_to_9())
+    def test_f_vectors(self, P):
+        assert f_vector(P) == recursive_f_vector(P)
