@@ -80,9 +80,20 @@ def _load_tubing(P: Poset, path: str):
         raise MalformedInput(f"cannot read tubing file {path!r}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"tubing file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedInput("tubing file nests JSON too deeply") from None
     if not isinstance(data, dict) or "tubes" not in data:
         raise MalformedInput('tubing file must be an object with a "tubes" key')
-    return tubing_from_labels(P, data["tubes"])
+    tubes = data["tubes"]
+    if not isinstance(tubes, list) or not all(
+        isinstance(tube, list) and all(isinstance(x, str) for x in tube)
+        for tube in tubes
+    ):
+        raise MalformedInput('"tubes" must be a list of lists of element labels')
+    tubing = tubing_from_labels(P, tubes)
+    if len(tubing) != len(tubes):
+        raise MalformedInput("tubing file lists the same tube twice")
+    return tubing
 
 
 def _guard_size(P: Poset, force: bool) -> None:

@@ -4,6 +4,9 @@ Also hosts the exhaustive catalog of small posets up to isomorphism used by
 the verification suites: every poset on n elements has a linear extension,
 so each isomorphism class has a representative whose relation matrix is
 strictly upper triangular, and those matrices can be enumerated directly.
+Canonical forms bucket vertices by ``isomorphism.refine``, the package's one
+colour refinement; the catalog's transitivity test is ``posets._is_transitive``,
+next to the other bitmask-row helpers (closure, transpose, reachability).
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
-from .isomorphism import find_isomorphism, transpose_rows
-from .posets import Poset, as_mask, flip, is_autonomous, iter_bits, mask_members
+from .isomorphism import find_isomorphism, refine
+from .posets import (Poset, _is_transitive, as_mask, flip, is_autonomous, iter_bits,
+                     mask_members)
 
 GRAPHS_DIFFER = "GraphsDiffer"
 DEPTH_EXHAUSTED = "DepthExhausted"
@@ -73,31 +77,6 @@ def autonomous_subsets(P: Poset, min_size: int = 1) -> list[int]:
 # -- canonical forms and the small-poset catalog ---------------------------
 
 
-def _stable_colors(rows: Sequence[int]) -> list[int]:
-    """Iterated refinement with value-sorted renumbering.
-
-    The resulting integer colors depend only on the isomorphism class, so
-    sorting vertices by color is a labeling-invariant block structure.
-    """
-    n = len(rows)
-    in_rows = transpose_rows(rows)
-    colors = [0] * n
-    while True:
-        sigs = [
-            (
-                colors[i],
-                tuple(sorted(colors[j] for j in iter_bits(rows[i]))),
-                tuple(sorted(colors[j] for j in iter_bits(in_rows[i]))),
-            )
-            for i in range(n)
-        ]
-        table = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        new = [table[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
-
-
 def canonical_rows(rows: Sequence[int]) -> tuple[int, ...]:
     """Minimum relation matrix over all relabelings.
 
@@ -106,7 +85,7 @@ def canonical_rows(rows: Sequence[int]) -> tuple[int, ...]:
     isomorphism preserves the colors.
     """
     n = len(rows)
-    colors = _stable_colors(rows)
+    colors = refine(rows, [0] * n)
     order = sorted(range(n), key=lambda i: (colors[i], i))
     blocks: list[list[int]] = []
     for i in order:
@@ -162,19 +141,7 @@ def all_posets(n: int) -> tuple[Poset, ...]:
         for b, (i, j) in enumerate(pairs):
             if code >> b & 1:
                 rows[i] |= 1 << j
-        transitive = True
-        for i in range(n):
-            ri = rows[i]
-            m = ri
-            while m:
-                low = m & -m
-                m ^= low
-                if rows[low.bit_length() - 1] & ~ri:
-                    transitive = False
-                    break
-            if not transitive:
-                break
-        if transitive:
+        if _is_transitive(rows):
             seen.add(canonical_rows(rows))
     return tuple(Poset(labels, form) for form in sorted(seen))
 

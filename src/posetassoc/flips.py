@@ -22,7 +22,7 @@ from .errors import (
     NotAutonomous,
     StructureViolation,
 )
-from .posets import Poset, as_mask, flip, is_autonomous, iter_bits
+from .posets import Poset, _union_rows, as_mask, flip, is_autonomous
 from .tubings import Tubing, is_proper_tubing
 
 
@@ -170,8 +170,8 @@ def classify_tubes(
             good.add(tube)
             continue
         inside = tube & s_mask
-        is_lower = any(P.up[x] & inside for x in iter_bits(tube & ~s_mask))
-        is_upper = any(P.down[x] & inside for x in iter_bits(tube & ~s_mask))
+        is_lower = bool(_union_rows(P.up, tube & ~s_mask) & inside)
+        is_upper = bool(_union_rows(P.down, tube & ~s_mask) & inside)
         if is_lower == is_upper:
             kind = "both lower and upper" if is_lower else "neither lower nor upper"
             raise StructureViolation(
@@ -292,8 +292,7 @@ def is_weakly_increasing(P: Poset, blocks: Iterable[int]) -> bool:
     earlier = 0
     for block in blocks:
         mask = as_mask(block)
-        for y in iter_bits(mask):
-            if P.up[y] & earlier:
-                return False
+        if _union_rows(P.up, mask) & earlier:
+            return False
         earlier |= mask
     return True

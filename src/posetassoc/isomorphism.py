@@ -1,61 +1,46 @@
-"""Backtracking isomorphism search for small vertex-colored digraphs.
+"""Colour refinement and backtracking isomorphism search for small digraphs.
 
 One engine serves comparability graphs (symmetric rows), posets (directed
 rows), and vertex-facet incidence structures (bipartite, two colors).
 Instances stay well under a couple hundred vertices, so iterated degree
-refinement plus plain backtracking is all that is needed.
+refinement plus plain backtracking is all that is needed.  ``refine`` is
+the one colour refinement of the package: canonical forms in
+``comparability`` call it on one graph, ``find_isomorphism`` on the
+disjoint union of two.  The bitmask-row helpers it uses live in ``posets``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .posets import iter_bits
+from .posets import _transpose, iter_bits
 
 
-def transpose_rows(rows: Sequence[int]) -> tuple[int, ...]:
-    n = len(rows)
-    out = [0] * n
-    for i in range(n):
-        for j in iter_bits(rows[i]):
-            out[j] |= 1 << i
-    return tuple(out)
-
-
-def _joint_refine(out1, in1, colors1, out2, in2, colors2):
-    """Refine both graphs together so color ids stay comparable across them.
+def refine(rows: Sequence[int], colors: Sequence) -> list[int]:
+    """Stable colors of a vertex-colored digraph.
 
     Each round a vertex's color becomes (old color, multiset of out-neighbor
-    colors, multiset of in-neighbor colors); new colors are renumbered via a
-    table shared by both graphs.  Stops at a stable partition.
+    colors, multiset of in-neighbor colors), renumbered by the sorted order
+    of those signatures, until the number of colors stops growing.  The
+    result depends only on the colored graph up to isomorphism, so on a
+    disjoint union the colors of the two parts are directly comparable.
     """
-    n = len(out1)
-    table = {c: i for i, c in enumerate(sorted(set(colors1) | set(colors2)))}
-    c1 = [table[c] for c in colors1]
-    c2 = [table[c] for c in colors2]
+    n = len(rows)
+    in_rows = _transpose(rows)
     while True:
-        sig1 = [
+        sigs = [
             (
-                c1[i],
-                tuple(sorted(c1[j] for j in iter_bits(out1[i]))),
-                tuple(sorted(c1[j] for j in iter_bits(in1[i]))),
+                colors[i],
+                tuple(sorted(colors[j] for j in iter_bits(rows[i]))),
+                tuple(sorted(colors[j] for j in iter_bits(in_rows[i]))),
             )
             for i in range(n)
         ]
-        sig2 = [
-            (
-                c2[i],
-                tuple(sorted(c2[j] for j in iter_bits(out2[i]))),
-                tuple(sorted(c2[j] for j in iter_bits(in2[i]))),
-            )
-            for i in range(n)
-        ]
-        table = {s: i for i, s in enumerate(sorted(set(sig1) | set(sig2)))}
-        new1 = [table[s] for s in sig1]
-        new2 = [table[s] for s in sig2]
-        if len(set(new1) | set(new2)) == len(set(c1) | set(c2)):
-            return c1, c2
-        c1, c2 = new1, new2
+        table = {s: c for c, s in enumerate(sorted(set(sigs)))}
+        new = [table[s] for s in sigs]
+        if len(table) == len(set(colors)):
+            return new
+        colors = new
 
 
 def find_isomorphism(
@@ -78,9 +63,11 @@ def find_isomorphism(
         colors1 = [0] * n
     if colors2 is None:
         colors2 = [0] * n
-    in1 = transpose_rows(out1)
-    in2 = transpose_rows(out2)
-    c1, c2 = _joint_refine(out1, in1, list(colors1), out2, in2, list(colors2))
+    # Refine the disjoint union, graph 2 shifted up by n vertices, so that
+    # both graphs are numbered by one colour table.
+    union = [*out1, *(row << n for row in out2)]
+    colors = refine(union, [*colors1, *colors2])
+    c1, c2 = colors[:n], colors[n:]
     if sorted(c1) != sorted(c2):
         return None
     candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in range(n)]

@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 from .errors import MalformedInput, NotATubing, QuotientNotPoset, TooSmall
 from .isomorphism import find_isomorphism
-from .posets import Poset, as_mask, iter_bits, mask_members
+from .posets import (Poset, _transitive_closure, _union_rows, as_mask, iter_bits,
+                     mask_members)
 from .tubings import TubeComplex, _require_usable, is_proper_tubing
 
 
@@ -231,26 +232,15 @@ def quotient_with_map(
         for j in iter_bits(block):
             proj[j] = len(class_masks)
         class_masks.append(block)
-    labels = []
-    for mask in class_masks:
-        if mask.bit_count() == 1:
-            labels.append(P.labels[mask.bit_length() - 1])
-        else:
-            labels.append("+".join(sorted(P.labels_of(mask))))
+    labels = ["+".join(sorted(P.labels_of(mask))) for mask in class_masks]
     m = len(class_masks)
     rows = [0] * m
     for a, mask_a in enumerate(class_masks):
-        above = 0
-        for i in iter_bits(mask_a):
-            above |= P.up[i]
+        above = _union_rows(P.up, mask_a)
         for b, mask_b in enumerate(class_masks):
             if a != b and above & mask_b:
                 rows[a] |= 1 << b
-    for k in range(m):
-        bit = 1 << k
-        for i in range(m):
-            if rows[i] & bit:
-                rows[i] |= rows[k]
+    rows = _transitive_closure(rows)
     for i in range(m):
         if rows[i] & (1 << i):
             raise QuotientNotPoset(

@@ -3,7 +3,12 @@
 Elements are addressed by index everywhere; labels only matter at the I/O
 boundary.  Subsets of elements are passed around as int bitmasks (bit i set
 means element i is in the subset), which keeps comparability queries and
-tube algebra down to a few word operations.
+tube algebra down to a few word operations.  A relation is a sequence of
+rows, bit j of row i set iff i relates to j.  The row helpers below
+(transpose, closure, transitivity, unions, reachability) are the one copy
+of each for the package.  They run once per mask or candidate, so they are
+private: ``bench/tracer.py`` wraps public functions only, and a span per
+call would swamp the time of their callers.
 """
 
 from __future__ import annotations
@@ -36,12 +41,7 @@ def as_mask(subset: int | Iterable[int]) -> int:
 
 def mask_members(mask: int) -> tuple[int, ...]:
     """Indices contained in a bitmask, ascending."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(members)
+    return tuple(iter_bits(mask))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -49,6 +49,62 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The reversed relation: bit i of row j is set iff bit j of row i is."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
+def _transitive_closure(rows: Sequence[int]) -> list[int]:
+    """Warshall's closure of a relation; cycles show up as a row's own bit."""
+    rows = list(rows)
+    n = len(rows)
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rows[k]
+    return rows
+
+
+def _is_transitive(rows: Sequence[int]) -> bool:
+    """Whether every row contains the rows of its members.
+
+    An explicit low-bit loop with an early exit: the catalog build calls
+    this once per candidate relation, so it stays free of generators.
+    """
+    for row in rows:
+        rest = row
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & ~row:
+                return False
+            rest ^= low
+    return True
+
+
+def _union_rows(rows: Sequence[int], mask: int) -> int:
+    """The union of the rows indexed by the members of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reach(adj: Sequence[int], seeds: int, within: int) -> int:
+    """The seeds and every vertex reachable along ``adj`` without leaving ``within``."""
+    seen = frontier = seeds
+    while frontier:
+        frontier = _union_rows(adj, frontier) & within & ~seen
+        seen |= frontier
+    return seen
 
 
 class Poset:
@@ -73,10 +129,8 @@ class Poset:
                 raise CyclicRelation(f"element {labels[i]!r} is below itself")
             if up[i] >> n:
                 raise ValueError("relation row references an element out of range")
-        for i in range(n):
-            for j in iter_bits(up[i]):
-                if up[j] & ~up[i]:
-                    raise ValueError("relation is not transitively closed")
+        if not _is_transitive(up):
+            raise ValueError("relation is not transitively closed")
         self.labels = labels
         self.n = n
         self.up = up
@@ -94,11 +148,7 @@ class Poset:
             if not (0 <= i < n and 0 <= j < n):
                 raise UnknownElement(f"relation ({i}, {j}) out of range")
             rows[i] |= 1 << j
-        for k in range(n):
-            bit = 1 << k
-            for i in range(n):
-                if rows[i] & bit:
-                    rows[i] |= rows[k]
+        rows = _transitive_closure(rows)
         for i in range(n):
             if rows[i] & (1 << i):
                 raise CyclicRelation(
@@ -126,22 +176,12 @@ class Poset:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for i in range(self.n):
-            for j in iter_bits(self.up[i]):
-                rows[j] |= 1 << i
-        return tuple(rows)
+        return _transpose(self.up)
 
     @cached_property
     def covers_up(self) -> tuple[int, ...]:
         """Row i holds the elements covering i (nothing strictly between)."""
-        rows = []
-        for i in range(self.n):
-            mid = 0
-            for j in iter_bits(self.up[i]):
-                mid |= self.up[j]
-            rows.append(self.up[i] & ~mid)
-        return tuple(rows)
+        return tuple(row & ~_union_rows(self.up, row) for row in self.up)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -153,26 +193,15 @@ class Poset:
     @cached_property
     def hasse_adj(self) -> tuple[int, ...]:
         """Undirected adjacency masks of the Hasse diagram."""
-        rows = [0] * self.n
-        for i, j in self.covers:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return tuple(rows)
+        below = _transpose(self.covers_up)
+        return tuple(a | b for a, b in zip(self.covers_up, below))
 
     @cached_property
     def is_connected(self) -> bool:
         """Connectivity of the Hasse diagram viewed as an undirected graph."""
         if self.n <= 1:
             return True
-        seen = 1
-        frontier = 1
-        while frontier:
-            reach = 0
-            for i in iter_bits(frontier):
-                reach |= self.hasse_adj[i]
-            frontier = reach & ~seen
-            seen |= frontier
-        return seen == self.full_mask
+        return _reach(self.hasse_adj, 1, self.full_mask) == self.full_mask
 
     def relation_pairs(self) -> tuple[tuple[int, int], ...]:
         """All (i, j) with i strictly below j."""
@@ -244,6 +273,8 @@ def parse_poset(text: str) -> Poset:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedInput("JSON nests too deeply") from None
     if not isinstance(data, dict):
         raise MalformedInput("top level must be a JSON object")
     if "elements" not in data:
@@ -267,6 +298,8 @@ def parse_poset(text: str) -> Poset:
         if not (isinstance(rel, (list, tuple)) and len(rel) == 2):
             raise MalformedInput(f"relation {rel!r} is not a pair")
         a, b = rel
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise MalformedInput("relation endpoints must be element labels")
         if a not in index:
             raise UnknownElement(f"relation references unknown element {a!r}")
         if b not in index:
@@ -305,16 +338,19 @@ def complete_graded(parts: Sequence[int]) -> Poset:
 _CHAIN_LABELS = "abcdefghijklmnop"
 
 
+def _letter_labels(n: int) -> list[str]:
+    """a, b, c, ..., p, then c16, c17, ..."""
+    return [_CHAIN_LABELS[i] if i < len(_CHAIN_LABELS) else f"c{i}" for i in range(n)]
+
+
 def chain(n: int) -> Poset:
     """Total order on n elements labeled a, b, c, ..."""
-    labels = [_CHAIN_LABELS[i] if i < len(_CHAIN_LABELS) else f"c{i}" for i in range(n)]
     rows = [(((1 << n) - 1) >> (i + 1)) << (i + 1) for i in range(n)]
-    return Poset(labels, rows)
+    return Poset(_letter_labels(n), rows)
 
 
 def antichain(n: int) -> Poset:
-    labels = [_CHAIN_LABELS[i] if i < len(_CHAIN_LABELS) else f"c{i}" for i in range(n)]
-    return Poset(labels, [0] * n)
+    return Poset(_letter_labels(n), [0] * n)
 
 
 # -- structural operations -------------------------------------------------

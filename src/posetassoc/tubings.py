@@ -20,7 +20,7 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedPoset, TooSmall, UnknownElement
-from .posets import Poset, as_mask, iter_bits, mask_members
+from .posets import Poset, _reach, _union_rows, as_mask, iter_bits, mask_members
 
 Tubing = frozenset[int]
 
@@ -32,41 +32,13 @@ def _require_usable(P: Poset) -> None:
         raise DisconnectedPoset("the Hasse diagram is not connected")
 
 
-def _connected_in_hasse(P: Poset, mask: int) -> bool:
-    low = mask & -mask
-    seen = low
-    frontier = low
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= P.hasse_adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen == mask
-
-
-def _upset_of(P: Poset, mask: int) -> int:
-    out = 0
-    for i in iter_bits(mask):
-        out |= P.up[i]
-    return out
-
-
 def _tube_upset(P: Poset, mask: int) -> int | None:
     """The strict upset of ``mask`` if it is a proper tube, else None."""
     if mask.bit_count() < 2 or mask == P.full_mask:
         return None
-    above = below = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        above |= P.up[i]
-        below |= P.down[i]
-        rest ^= low
-    if above & below & ~mask or not _connected_in_hasse(P, mask):
+    above = _union_rows(P.up, mask)
+    below = _union_rows(P.down, mask)
+    if above & below & ~mask or _reach(P.hasse_adj, mask & -mask, mask) != mask:
         return None
     return above
 
@@ -92,10 +64,7 @@ def enumerate_tubes(P: Poset) -> list[int]:
     seen = {mask for mask, _, _ in stack}
     while stack:
         mask, above, below = stack.pop()
-        border = 0
-        for i in iter_bits(mask):
-            border |= adj[i]
-        for j in iter_bits(border & ~mask):
+        for j in iter_bits(_union_rows(adj, mask) & ~mask):
             grown_above = above | up[j]
             grown_below = below | down[j]
             grown = mask | (1 << j) | (grown_above & grown_below)
@@ -149,7 +118,7 @@ def tube_digraph(P: Poset, tubes: Iterable[int]) -> dict[int, tuple[int, ...]]:
     and the first contains an element strictly below one of the second's.
     """
     tubes = list(tubes)
-    edges = _disjoint_edges(tubes, [_upset_of(P, t) for t in tubes])
+    edges = _disjoint_edges(tubes, [_union_rows(P.up, t) for t in tubes])
     return {s: tuple(tubes[j] for j in iter_bits(row)) for s, row in zip(tubes, edges)}
 
 
@@ -181,7 +150,7 @@ class TubeComplex:
     def __init__(self, P: Poset):
         tubes = enumerate_tubes(P)
         self.tubes = tubes
-        self.edges = _disjoint_edges(tubes, [_upset_of(P, t) for t in tubes])
+        self.edges = _disjoint_edges(tubes, [_union_rows(P.up, t) for t in tubes])
         self.compat = [
             sum(1 << j for j, t in enumerate(tubes) if s != t and s & t in (0, s, t))
             for s in tubes

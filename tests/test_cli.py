@@ -208,6 +208,44 @@ class TestDecomposeAndFlipMap:
         assert code == 1 and data["error"] == "ElementNotFound"
 
 
+class TestMalformedInput:
+    def test_list_as_relation_endpoint(self, capsys, tmp_path):
+        path = tmp_path / "poset.json"
+        path.write_text('{"elements": ["a", "b"], "relations": [[["a"], "b"]]}')
+        code, data = invoke_json(capsys, "fvector", str(path))
+        assert code == 1 and data["error"] == "MalformedInput"
+
+    def test_deeply_nested_poset_file(self, capsys, tmp_path):
+        path = tmp_path / "poset.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, data = invoke_json(capsys, "fvector", str(path))
+        assert code == 1 and data["error"] == "MalformedInput"
+
+    @pytest.mark.parametrize(
+        "tubes",
+        [
+            5,  # not a list
+            ["ab"],  # a string is not a list of labels
+            [["a", "b"], ["b", "a"]],  # the same tube twice
+        ],
+    )
+    def test_tubing_schema(self, capsys, poset_file, tubing_file, tubes):
+        code, data = invoke_json(
+            capsys, "decompose", poset_file(chain(3)),
+            "--subset", "b,c", "--tubing", tubing_file(tubes),
+        )
+        assert code == 1 and data["error"] == "MalformedInput"
+
+    def test_deeply_nested_tubing_file(self, capsys, poset_file, tmp_path):
+        path = tmp_path / "tubing.json"
+        path.write_text('{"tubes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, data = invoke_json(
+            capsys, "flip-map", poset_file(chain(3)),
+            "--subset", "b,c", "--tubing", str(path),
+        )
+        assert code == 1 and data["error"] == "MalformedInput"
+
+
 class TestCheckInvariance:
     def test_graded_report(self, capsys):
         code, data = invoke_json(capsys, "check-invariance", "--graded", "1,2,2")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from collections import defaultdict
 
@@ -23,6 +24,7 @@ from posetassoc import (
     replay_flips,
 )
 from posetassoc.comparability import DEPTH_EXHAUSTED, GRAPHS_DIFFER, canonical_rows
+from posetassoc.isomorphism import find_isomorphism, refine
 from posetassoc.posets import Poset, mask_members
 
 from conftest import corpus, oracle_autonomous
@@ -81,6 +83,32 @@ class TestGraphsIsomorphic:
         assert graphs_isomorphic(
             comparability_graph(chain(2)), comparability_graph(chain(3))
         ) is None
+
+
+class TestRefine:
+    def test_stable_colors_of_a_chain_are_its_ranks(self):
+        assert refine(chain(4).up, [0] * 4) == [3, 2, 1, 0]
+
+    def test_input_colors_split_classes(self):
+        # the antichain is one class until the input colors separate it
+        assert refine(antichain(3).up, [0] * 3) == [0, 0, 0]
+        assert refine(antichain(3).up, [5, 1, 5]) == [1, 0, 1]
+
+    def test_union_colors_agree_across_relabelings(self, connected_upto_5):
+        for P in connected_upto_5:
+            n = P.n
+            perm = list(reversed(range(n)))
+            rows = [0] * n
+            for i, j in P.relation_pairs():
+                rows[perm[i]] |= 1 << perm[j]
+            colors = refine(list(P.up) + [r << n for r in rows], [0] * (2 * n))
+            assert [colors[n + perm[i]] for i in range(n)] == colors[:n]
+            assert colors[:n] == refine(P.up, [0] * n)
+
+    def test_witness_respects_colors(self):
+        V = [0b110, 0, 0]  # one bottom below two tops
+        assert find_isomorphism(V, V, [0, 1, 2], [0, 2, 1]) == (0, 2, 1)
+        assert find_isomorphism(V, V, [0, 1, 1], [1, 0, 0]) is None
 
 
 class TestAutonomousSubsets:
@@ -147,6 +175,19 @@ class TestCatalog:
     def test_canonical_form_separates(self):
         vee = Poset(["a", "b", "c"], [0b110, 0, 0])
         assert canonical_form(vee) != canonical_form(chain(3))
+
+    def test_catalog_order_and_numbering_are_pinned(self):
+        # The exact representatives and their order, not just the classes:
+        # the catalog is sorted by canonical form, so any change to the
+        # refinement or to the canonical search that renumbers a form
+        # shows up here.
+        assert [P.up for P in all_posets(3)] == [
+            (0, 0, 0), (0, 0, 2), (0, 0, 3), (0, 1, 1), (0, 1, 3)
+        ]
+        rows = repr([[P.up for P in all_posets(n)] for n in range(1, 7)])
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "f4cf4d515b642a3f90aba6482746166ea3ad16e6c928c7ad528cf57fd14f311b"
+        )
 
 
 class TestFlipSequence:

@@ -10,6 +10,7 @@ import pytest
 from posetassoc import (
     NotATubing,
     Poset,
+    QuotientNotPoset,
     TooSmall,
     autonomous_subsets,
     canonical_form,
@@ -237,6 +238,15 @@ class TestFaceProducts:
                 for factor in face_product_decomposition(P, T):
                     product = poly_mul(product, f_of_canonical(canonical_form(factor)))
                 assert tuple(census) == product
+
+
+class TestQuotient:
+    def test_contraction_across_a_middle_element_is_a_cycle(self):
+        # a < b < c: merging a and c puts the merged element both below
+        # and above b, which the closure turns into a self-loop.
+        P = chain(3)
+        with pytest.raises(QuotientNotPoset):
+            quotient_with_map(P, P.full_mask, [P.mask_of(["a", "c"])])
 
 
 def project_tubing(proj, tubes):

@@ -28,7 +28,14 @@ from posetassoc import (
     poset_isomorphism,
     substitute,
 )
-from posetassoc.posets import as_mask, mask_members
+from posetassoc.posets import (
+    _is_transitive,
+    _reach,
+    _transitive_closure,
+    _transpose,
+    as_mask,
+    mask_members,
+)
 
 from conftest import corpus, oracle_autonomous
 
@@ -77,6 +84,8 @@ class TestParse:
             '{"elements": [1, 2]}',
             '{"elements": ["a"], "relations": [["a"]]}',
             '{"elements": ["a"], "relations": 7}',
+            '{"elements": ["a", "b"], "relations": [[["a"], "b"]]}',
+            '{"elements": ["a", "b"], "relations": [["a", {"b": 1}]]}',
         ],
     )
     def test_malformed(self, text):
@@ -275,3 +284,29 @@ class TestInvariants:
                 assert not P.less(i, i)
                 for j in mask_members(P.up[i]):
                     assert P.up[j] & ~P.up[i] == 0
+
+
+class TestRelationRows:
+    def test_transpose_is_down(self, connected_upto_5):
+        for P in connected_upto_5:
+            assert _transpose(P.up) == P.down
+            assert _transpose(P.down) == P.up
+
+    def test_closure_of_covers_is_the_order(self, connected_upto_5):
+        for P in connected_upto_5:
+            assert tuple(_transitive_closure(P.covers_up)) == P.up
+            assert _is_transitive(P.up)
+            assert _is_transitive(P.covers_up) == (P.covers_up == P.up)
+
+    def test_closure_marks_a_cycle_on_the_diagonal(self):
+        rows = _transitive_closure([0b010, 0b100, 0b001])
+        assert rows == [0b111, 0b111, 0b111]
+
+    def test_reach_stays_inside(self):
+        # a - b - c - d as a path; starting at a inside {a, b, d} never
+        # reaches d because c is excluded.
+        adj = [0b0010, 0b0101, 0b1010, 0b0100]
+        assert _reach(adj, 0b0001, 0b1111) == 0b1111
+        assert _reach(adj, 0b0001, 0b1011) == 0b0011
+        assert _reach(adj, 0b1001, 0b1011) == 0b1011
+        assert _reach(adj, 0, 0b1111) == 0
