@@ -96,10 +96,10 @@ def _load_tubing(P: Poset, path: str):
     return tubing
 
 
-def _guard_size(P: Poset, force: bool) -> None:
-    if P.n > SIZE_GUARD and not force:
+def _guard_size(n: int, force: bool, subject: str = "{n} elements exceed") -> None:
+    if n > SIZE_GUARD and not force:
         raise PosetTooLarge(
-            f"{P.n} elements exceed the enumeration guard of {SIZE_GUARD};"
+            f"{subject.format(n=n)} the enumeration guard of {SIZE_GUARD};"
             " pass --force to proceed"
         )
 
@@ -124,32 +124,25 @@ def _tube_cell(labels: list[str]) -> str:
     return "|".join(labels)
 
 
-# -- verb handlers: each returns (payload, csv_rows) --------------------------
+# -- verb handlers: each takes the loaded poset and returns (payload, csv_rows)
 
 
-def _cmd_fvector(args, parser) -> tuple[dict, list]:
-    P = _load_poset(args.poset, args.graded, parser)
-    _guard_size(P, args.force)
+def _cmd_fvector(P: Poset, args, parser) -> tuple[dict, list]:
     f = f_vector(P)
     return {"f": list(f)}, [[f"f_{i}" for i in range(len(f))], list(f)]
 
 
-def _cmd_hvector(args, parser) -> tuple[dict, list]:
-    P = _load_poset(args.poset, args.graded, parser)
-    _guard_size(P, args.force)
+def _cmd_hvector(P: Poset, args, parser) -> tuple[dict, list]:
     h = h_vector(f_vector(P))
     return {"h": list(h)}, [[f"h_{i}" for i in range(len(h))], list(h)]
 
 
-def _cmd_tubes(args, parser) -> tuple[dict, list]:
-    P = _load_poset(args.poset, args.graded, parser)
+def _cmd_tubes(P: Poset, args, parser) -> tuple[dict, list]:
     tubes = [sorted(P.labels_of(t)) for t in enumerate_tubes(P)]
     return {"tubes": tubes}, [[_tube_cell(t)] for t in tubes]
 
 
-def _cmd_tubings(args, parser) -> tuple[dict, list]:
-    P = _load_poset(args.poset, args.graded, parser)
-    _guard_size(P, args.force)
+def _cmd_tubings(P: Poset, args, parser) -> tuple[dict, list]:
     if args.count_only:
         count = sum(1 for _ in enumerate_tubings(P))
         return {"count": count}, [["count", count]]
@@ -160,15 +153,12 @@ def _cmd_tubings(args, parser) -> tuple[dict, list]:
     return {"tubings": tubings}, [[_tube_cell(tube) for tube in t] for t in tubings]
 
 
-def _cmd_maximal(args, parser) -> tuple[dict, list]:
-    P = _load_poset(args.poset, args.graded, parser)
-    _guard_size(P, args.force)
+def _cmd_maximal(P: Poset, args, parser) -> tuple[dict, list]:
     tubings = [tubing_to_labels(P, t) for t in maximal_tubings(P)]
     return {"tubings": tubings}, [[_tube_cell(tube) for tube in t] for t in tubings]
 
 
-def _cmd_decompose(args, parser) -> tuple[dict, list]:
-    P = _load_poset(args.poset, args.graded, parser)
+def _cmd_decompose(P: Poset, args, parser) -> tuple[dict, list]:
     subset = _subset_mask(P, args.subset)
     tubing = _load_tubing(P, args.tubing)
     dec = decompose(P, subset, classify_tubes(P, subset, tubing))
@@ -187,8 +177,7 @@ def _decomposition_rows(payload: dict) -> list[list]:
     return rows
 
 
-def _cmd_flip_map(args, parser) -> tuple[dict, list]:
-    P = _load_poset(args.poset, args.graded, parser)
+def _cmd_flip_map(P: Poset, args, parser) -> tuple[dict, list]:
     subset = _subset_mask(P, args.subset)
     tubing = _load_tubing(P, args.tubing)
     image = flip_tubing(P, subset, tubing)
@@ -204,9 +193,7 @@ def _cmd_flip_map(args, parser) -> tuple[dict, list]:
     return payload, rows
 
 
-def _cmd_check_invariance(args, parser) -> tuple[dict, list]:
-    P = _load_poset(args.poset, args.graded, parser)
-    _guard_size(P, args.force)
+def _cmd_check_invariance(P: Poset, args, parser) -> tuple[dict, list]:
     base_f = f_vector(P)
     tubings = list(enumerate_tubings(P))
     results = []
@@ -234,29 +221,22 @@ def _cmd_check_invariance(args, parser) -> tuple[dict, list]:
     return payload, rows
 
 
-def _cmd_equiv(args, parser) -> tuple[dict, list]:
-    first = _load_poset(args.poset, args.graded, parser)
-    _guard_size(first, args.force)
+def _cmd_equiv(P: Poset, args, parser) -> tuple[dict, list]:
     if (args.other is None) == (args.permutohedron is None):
         parser.error("provide a second poset or --permutohedron, not both")
     if args.permutohedron is not None:
-        if args.permutohedron > SIZE_GUARD and not args.force:
-            raise PosetTooLarge(
-                f"permutohedron on {args.permutohedron} letters exceeds the"
-                f" enumeration guard of {SIZE_GUARD}; pass --force to proceed"
-            )
+        _guard_size(args.permutohedron, args.force,
+                    "permutohedron on {n} letters exceeds")
         other = permutohedron_lattice(args.permutohedron)
     else:
         second = _load_poset(args.other, None, parser)
-        _guard_size(second, args.force)
+        _guard_size(second.n, args.force)
         other = face_lattice(second)
-    equivalent = lattices_equivalent(face_lattice(first), other)
+    equivalent = lattices_equivalent(face_lattice(P), other)
     return {"equivalent": equivalent}, [["equivalent", str(equivalent).lower()]]
 
 
-def _cmd_polygons(args, parser) -> tuple[dict, list]:
-    P = _load_poset(args.poset, args.graded, parser)
-    _guard_size(P, args.force)
+def _cmd_polygons(P: Poset, args, parser) -> tuple[dict, list]:
     census = two_face_census(P)
     pairs = sorted(census.items())
     return {"polygons": [[size, count] for size, count in pairs]}, [
@@ -264,16 +244,15 @@ def _cmd_polygons(args, parser) -> tuple[dict, list]:
     ]
 
 
-def _cmd_flip_seq(args, parser) -> tuple[dict, list]:
-    first = _load_poset(args.poset, args.graded, parser)
+def _cmd_flip_seq(P: Poset, args, parser) -> tuple[dict, list]:
     second = _load_poset(args.other, None, parser)
-    result = flip_sequence(first, second, args.max_depth)
+    result = flip_sequence(P, second, args.max_depth)
     if result.sequence is None:
         payload = {"steps": None, "witness": None, "reason": result.reason}
         return payload, [["reason", result.reason]]
-    steps = [sorted(first.labels_of(s)) for s in result.sequence.steps]
+    steps = [sorted(P.labels_of(s)) for s in result.sequence.steps]
     witness = [
-        [first.labels[i], second.labels[j]]
+        [P.labels[i], second.labels[j]]
         for i, j in enumerate(result.sequence.witness)
     ]
     payload = {"steps": steps, "witness": witness, "reason": None}
@@ -282,6 +261,7 @@ def _cmd_flip_seq(args, parser) -> tuple[dict, list]:
 
 
 def _add_poset_source(sub: argparse.ArgumentParser, *, force: bool = False) -> None:
+    """With ``force``, ``run`` refuses a poset above SIZE_GUARD without --force."""
     sub.add_argument("poset", nargs="?", help="poset JSON file or graded:<parts>")
     sub.add_argument("--graded", help="comma-separated antichain sizes")
     if force:
@@ -363,7 +343,10 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, rows = args.handler(args, parser)
+        P = _load_poset(args.poset, args.graded, parser)
+        if "force" in args:
+            _guard_size(P.n, args.force)
+        payload, rows = args.handler(P, args, parser)
     except DomainError as exc:
         sys.stdout.write(
             json.dumps(

@@ -49,15 +49,11 @@ def graphs_isomorphic(
     G1: ComparabilityGraph, G2: ComparabilityGraph
 ) -> tuple[int, ...] | None:
     """A vertex bijection witnessing isomorphism, or None."""
-    if G1.vertex_count != G2.vertex_count:
-        return None
     return find_isomorphism(G1.adjacency, G2.adjacency)
 
 
 def poset_isomorphism(P: Poset, Q: Poset) -> tuple[int, ...] | None:
     """An order-preserving index bijection from P onto Q, or None."""
-    if P.n != Q.n:
-        return None
     return find_isomorphism(P.up, Q.up)
 
 

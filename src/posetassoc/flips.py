@@ -19,10 +19,9 @@ from typing import Iterable
 from .errors import (
     MalformedDecomposition,
     NotATubing,
-    NotAutonomous,
     StructureViolation,
 )
-from .posets import Poset, _union_rows, as_mask, flip, is_autonomous
+from .posets import Poset, _require_autonomous, _union_rows, as_mask, flip
 from .tubings import Tubing, is_proper_tubing
 
 
@@ -155,10 +154,7 @@ def classify_tubes(
 ) -> TubeClassification:
     """Split a tubing into good tubes and the two nested chains of bad ones."""
     s_mask = as_mask(subset)
-    if not is_autonomous(P, s_mask):
-        raise NotAutonomous(
-            f"subset {{{', '.join(P.labels_of(s_mask))}}} is not autonomous"
-        )
+    _require_autonomous(P, s_mask)
     tubes = [as_mask(t) for t in tubing]
     if not is_proper_tubing(P, tubes):
         raise NotATubing("input is not a proper tubing")

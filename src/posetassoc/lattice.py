@@ -1,7 +1,9 @@
 """Face lattices of tubing complexes and of permutohedra.
 
 Both lattices are stored the same way: one record per face carrying its
-rank, a canonical key, and the set of vertices below it.  Combinatorial
+rank, a canonical key, and the set of vertices below it.  Both are built by
+one assembly, ``_assemble``: each lists its faces rank by rank with their
+covers, and the vertex sets are unions taken bottom-up.  Combinatorial
 equivalence is decided on the vertex-facet incidence structure, which
 determines the whole lattice for polytopes and keeps the search tiny.
 """
@@ -46,12 +48,30 @@ class FaceLattice:
         return [f for f in self.faces if f.rank == rank]
 
 
+def _assemble(dim: int, ranks: list[int], keys: list[tuple],
+              covers: list[tuple[int, int]]) -> FaceLattice:
+    """The lattice of faces listed rank by rank, vertices first.
+
+    ``covers`` holds (covered face, covering face) index pairs.  A vertex's
+    id is its face index, and the vertices below any other face are the
+    union of those below the faces it covers.  Sorted, the covers reach a
+    face only after every face it covers is complete.
+    """
+    covers.sort()
+    below = [{i} if rank == 0 else set() for i, rank in enumerate(ranks)]
+    for child, parent in covers:
+        below[parent] |= below[child]
+    # Each set is replaced by its face, so no set outlives its frozen copy.
+    for i, verts in enumerate(below):
+        below[i] = Face(ranks[i], keys[i], frozenset(verts))
+    return FaceLattice(dim, tuple(below), tuple(covers))
+
+
 def face_lattice(P: Poset) -> FaceLattice:
     """Face lattice of the tubing complex, tubings ordered by reverse inclusion.
 
     A tubing with one extra tube is one dimension lower and is covered by
-    the smaller tubing.  Vertex sets are built bottom-up: the vertices below
-    a face are the union of those below the faces it covers.
+    the smaller tubing.
     """
     _require_usable(P)
     dim = P.n - 2
@@ -59,22 +79,10 @@ def face_lattice(P: Poset) -> FaceLattice:
     keys = {c: tuple(sorted(cx.tubing(c))) for c in cx.walk()}
     order = sorted(keys, key=lambda c: (-c.bit_count(), keys[c]))
     index_of = {c: i for i, c in enumerate(order)}
-    pending: dict[int, set[int]] = {}
-    faces = []
-    covers = []
-    for child, chosen in enumerate(order):
-        size = chosen.bit_count()
-        # Faces come rank by rank, so every face a face covers is done by
-        # now.  Vertices come first and nothing is pending for them: a
-        # vertex's id is its face index.
-        verts = frozenset(pending.pop(child, (child,)))
-        faces.append(Face(dim - size, keys[chosen], verts))
-        for i in iter_bits(chosen):
-            parent = index_of[chosen ^ (1 << i)]
-            covers.append((child, parent))
-            pending.setdefault(parent, set()).update(verts)
-    covers.sort()
-    return FaceLattice(dim, tuple(faces), tuple(covers))
+    covers = [(child, index_of[chosen ^ (1 << i)])
+              for child, chosen in enumerate(order) for i in iter_bits(chosen)]
+    return _assemble(dim, [dim - c.bit_count() for c in order],
+                     [keys[c] for c in order], covers)
 
 
 # -- permutohedron oracle ----------------------------------------------------
@@ -100,36 +108,16 @@ def permutohedron_lattice(n: int) -> FaceLattice:
     """
     if n < 1:
         raise MalformedInput("need at least one letter")
-    dim = n - 1
     items = tuple(range(1, n + 1))
     partitions = list(_ordered_partitions(items))
     partitions.sort(key=lambda p: (n - len(p), p))
-    vertex_ids: dict[tuple, int] = {}
-    for p in partitions:
-        if len(p) == n:
-            vertex_ids[p] = len(vertex_ids)
-    index_of: dict[tuple, int] = {}
-    faces = []
-    for p in partitions:
-        verts = set()
-        for perm_blocks in itertools.product(
-            *(itertools.permutations(block) for block in p)
-        ):
-            flat = tuple((x,) for block in perm_blocks for x in block)
-            verts.add(vertex_ids[flat])
-        index_of[p] = len(faces)
-        faces.append(Face(n - len(p), p, frozenset(verts)))
+    index_of = {p: i for i, p in enumerate(partitions)}
     covers = []
-    for p in partitions:
-        if len(p) == 1:
-            continue
-        child = index_of[p]
+    for child, p in enumerate(partitions):
         for i in range(len(p) - 1):
             merged = tuple(sorted(p[i] + p[i + 1]))
-            parent = p[:i] + (merged,) + p[i + 2 :]
-            covers.append((child, index_of[parent]))
-    covers.sort()
-    return FaceLattice(dim, tuple(faces), tuple(covers))
+            covers.append((child, index_of[p[:i] + (merged,) + p[i + 2 :]]))
+    return _assemble(n - 1, [n - len(p) for p in partitions], partitions, covers)
 
 
 def _stirling2(n: int, k: int) -> int:

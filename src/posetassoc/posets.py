@@ -398,26 +398,30 @@ def substitute(Q: Poset, a: str, S: Poset) -> Poset:
 def is_autonomous(P: Poset, subset: int | Iterable[int]) -> bool:
     """True iff every outside element sees all members of the subset alike."""
     mask = as_mask(subset)
-    outside = P.full_mask & ~mask
-    members = mask_members(mask)
-    if len(members) <= 1:
+    rest = mask & (mask - 1)
+    if not rest:
         return True
-    first = members[0]
+    first = (mask ^ rest).bit_length() - 1  # the lowest member is the reference
+    outside = P.full_mask & ~mask
     up0 = P.up[first] & outside
     down0 = P.down[first] & outside
-    for i in members[1:]:
+    for i in iter_bits(rest):
         if P.up[i] & outside != up0 or P.down[i] & outside != down0:
             return False
     return True
 
 
-def flip(P: Poset, subset: int | Iterable[int]) -> Poset:
-    """Reverse the order inside an autonomous subset, keeping indices put."""
-    mask = as_mask(subset)
+def _require_autonomous(P: Poset, mask: int) -> None:
     if not is_autonomous(P, mask):
         raise NotAutonomous(
             f"subset {{{', '.join(P.labels_of(mask))}}} is not autonomous"
         )
+
+
+def flip(P: Poset, subset: int | Iterable[int]) -> Poset:
+    """Reverse the order inside an autonomous subset, keeping indices put."""
+    mask = as_mask(subset)
+    _require_autonomous(P, mask)
     rows = list(P.up)
     for i in iter_bits(mask):
         rows[i] = (P.up[i] & ~mask) | (P.down[i] & mask)

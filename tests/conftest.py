@@ -221,3 +221,37 @@ def scan_face_vertices(P: Poset) -> dict[tuple[int, ...], frozenset[int]]:
         for t in tubings
     }
 
+
+
+def expanded_permutohedron(n: int) -> tuple[list[tuple], list[tuple[int, int]]]:
+    """Faces (rank, key, vertex ids) and sorted covers of the permutohedron.
+
+    The package's first construction.  Faces are the ordered set partitions
+    of 1..n, here read off the surjections onto 0..k-1, sorted by (n - k,
+    partition); a face's vertices come from expanding every ordering of each
+    of its blocks, and merging two adjacent blocks gives a covering face.
+    """
+    items = range(1, n + 1)
+    partitions = []
+    for k in range(1, n + 1):
+        for blocks_of in itertools.product(range(k), repeat=n):
+            if len(set(blocks_of)) == k:
+                partitions.append(tuple(
+                    tuple(x for x, b in zip(items, blocks_of) if b == block)
+                    for block in range(k)
+                ))
+    partitions.sort(key=lambda p: (n - len(p), p))
+    vertex_ids = {p: i for i, p in enumerate(partitions) if len(p) == n}
+    faces = []
+    for p in partitions:
+        verts = set()
+        for orders in itertools.product(*(itertools.permutations(b) for b in p)):
+            verts.add(vertex_ids[tuple((x,) for block in orders for x in block)])
+        faces.append((n - len(p), p, frozenset(verts)))
+    index_of = {p: i for i, p in enumerate(partitions)}
+    covers = []
+    for p in partitions:
+        for i in range(len(p) - 1):
+            merged = tuple(sorted(p[i] + p[i + 1]))
+            covers.append((index_of[p], index_of[p[:i] + (merged,) + p[i + 2 :]]))
+    return faces, sorted(covers)

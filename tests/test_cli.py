@@ -327,6 +327,50 @@ class TestFlipSeq:
         assert "--max-depth" in capsys.readouterr().err
 
 
+GUARD_TAIL = " the enumeration guard of 12; pass --force to proceed"
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fvector", "graded:6,7"], "13 elements exceed"),
+            (["hvector", "graded:6,7"], "13 elements exceed"),
+            (["tubings", "graded:6,7"], "13 elements exceed"),
+            (["maximal", "graded:6,7"], "13 elements exceed"),
+            (["check-invariance", "graded:6,7"], "13 elements exceed"),
+            (["polygons", "graded:6,7"], "13 elements exceed"),
+            (["equiv", "graded:6,7", "graded:2,2"], "13 elements exceed"),
+            (["equiv", "graded:2,2", "graded:6,7"], "13 elements exceed"),
+            (["equiv", "graded:2,2", "--permutohedron", "13"],
+             "permutohedron on 13 letters exceeds"),
+        ],
+    )
+    def test_guarded_verbs(self, capsys, argv, message):
+        code, data = invoke_json(capsys, *argv)
+        assert code == 1
+        assert data == {
+            "schema_version": 1,
+            "error": "PosetTooLarge",
+            "message": message + GUARD_TAIL,
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tubes", "graded:2,2"],
+            ["decompose", "graded:2,2", "--subset", "x1_1", "--tubing", "t.json"],
+            ["flip-map", "graded:2,2", "--subset", "x1_1", "--tubing", "t.json"],
+            ["flip-seq", "graded:1,2", "graded:2,1"],
+        ],
+    )
+    def test_unguarded_verbs_reject_force(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--force"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_verb(self):
         with pytest.raises(SystemExit) as err:

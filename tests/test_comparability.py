@@ -137,10 +137,10 @@ class TestAutonomousSubsets:
             keys = [(s.bit_count(), mask_members(s)) for s in subsets]
             assert keys == sorted(keys)
 
-    def test_matches_oracle(self, connected_upto_4):
+    def test_matches_oracle(self, connected_upto_5):
         import itertools as it
 
-        for P in connected_upto_4:
+        for P in connected_upto_5:
             expected = set()
             for size in range(2, P.n + 1):
                 for combo in it.combinations(range(P.n), size):

@@ -32,6 +32,8 @@ from posetassoc import (
 )
 from posetassoc.posets import iter_bits
 
+from conftest import expanded_permutohedron
+
 
 def stirling2_by_inclusion_exclusion(n: int, k: int) -> int:
     return sum(
@@ -99,6 +101,14 @@ class TestPermutohedron:
         assert permutohedron_f_vector(2) == (2, 1)
         assert permutohedron_f_vector(3) == (6, 6, 1)
         assert permutohedron_f_vector(4) == (24, 36, 14, 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_block_expansion(self, n):
+        L = permutohedron_lattice(n)
+        faces, covers = expanded_permutohedron(n)
+        assert L.dim == n - 1
+        assert [(f.rank, f.key, f.vertices) for f in L.faces] == faces
+        assert list(L.covers) == covers
 
     def test_covers_merge_adjacent_blocks(self):
         L = permutohedron_lattice(3)

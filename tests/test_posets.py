@@ -217,7 +217,7 @@ class TestAutonomy:
 
     def test_matches_oracle(self, connected_upto_4):
         for P in connected_upto_4:
-            for mask in range(1, P.full_mask + 1):
+            for mask in range(P.full_mask + 1):
                 members = frozenset(mask_members(mask))
                 assert is_autonomous(P, mask) == oracle_autonomous(P, members)
 
