@@ -2,7 +2,8 @@
 
 Every verb writes a single deterministic JSON object (or CSV rows with
 --format csv) to stdout.  Exit codes: 0 success, 1 domain error with a
-one-line error object, 2 usage error.  All outputs carry schema_version 1.
+one-line error object, 2 usage error, 3 internal error (a failed invariant,
+a bug) with the same error object.  All outputs carry schema_version 1.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 from typing import Sequence
 
 from .comparability import autonomous_subsets, flip_sequence
-from .errors import DomainError, MalformedInput, PosetTooLarge
-from .flips import classify_tubes, decompose, flip_tubing
+from .errors import DomainError, InternalError, MalformedInput, PosetTooLarge
+from .flips import classify_tubes, decompose, flip_tubing, flip_tubings
 from .lattice import (
     face_lattice,
     lattices_equivalent,
@@ -200,12 +201,8 @@ def _cmd_check_invariance(P: Poset, args, parser) -> tuple[dict, list]:
     for subset in autonomous_subsets(P, 2):
         flipped = flip(P, subset)
         preserved = f_vector(flipped) == base_f
-        roundtrip = True
-        for tubing in tubings:
-            image = flip_tubing(P, subset, tubing)
-            if flip_tubing(flipped, subset, image) != tubing:
-                roundtrip = False
-                break
+        back = flip_tubings(flipped, subset, flip_tubings(P, subset, tubings))
+        roundtrip = all(image == tubing for image, tubing in zip(back, tubings))
         results.append(
             {
                 "subset": sorted(P.labels_of(subset)),
@@ -354,7 +351,7 @@ def run(argv: Sequence[str]) -> int:
             )
         )
         sys.stdout.write("\n")
-        return 1
+        return 3 if isinstance(exc, InternalError) else 1
     _emit(payload, rows, args.format)
     return 0
 

@@ -13,6 +13,10 @@ class DomainError(Exception):
         return type(self).__name__
 
 
+class InternalError(DomainError):
+    """An internal invariant failed: a bug in this package, not bad input."""
+
+
 class MalformedInput(DomainError):
     """Input text or structure does not match the documented schema."""
 
@@ -57,7 +61,7 @@ class NotATubing(DomainError):
     """The given tube collection is not a proper tubing."""
 
 
-class StructureViolation(DomainError):
+class StructureViolation(InternalError):
     """Internal consistency check failed; indicates a bug, not bad input."""
 
 
@@ -65,7 +69,7 @@ class MalformedDecomposition(DomainError):
     """Star marks and block counts of a decomposition do not line up."""
 
 
-class QuotientNotPoset(DomainError):
+class QuotientNotPoset(InternalError):
     """Contracting tubes produced a relation cycle; indicates a bug."""
 
 

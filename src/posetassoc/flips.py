@@ -6,15 +6,15 @@ The remaining (bad) tubes split into two nested chains, one entered from
 below and one from above.  Each chain is recorded as a nested sequence of
 outside parts with star marks, plus the blocks of subset elements absorbed
 at the starred steps; reversing the block order and replaying the recursion
-on the flipped poset yields the image tubing.  The whole pipeline is
-validated at every step so a broken assumption fails loudly instead of
-producing a silently wrong tubing.
+on the flipped poset yields the image tubing.  `flip_tubings` flips the
+subset once per call and validates every step, so a broken assumption
+fails loudly instead of producing a silently wrong tubing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     MalformedDecomposition,
@@ -132,15 +132,15 @@ class Decomposition:
 
     @classmethod
     def from_dict(cls, P: Poset, data: dict) -> "Decomposition":
+        def seq_in(entries: list[dict]) -> DecoratedSequence:
+            return DecoratedSequence(
+                tuple(P.mask_of(entry["set"]) for entry in entries),
+                tuple(bool(entry["star"]) for entry in entries),
+            )
+
         try:
-            lower = DecoratedSequence(
-                tuple(P.mask_of(entry["set"]) for entry in data["L"]),
-                tuple(bool(entry["star"]) for entry in data["L"]),
-            )
-            upper = DecoratedSequence(
-                tuple(P.mask_of(entry["set"]) for entry in data["U"]),
-                tuple(bool(entry["star"]) for entry in data["U"]),
-            )
+            lower = seq_in(data["L"])
+            upper = seq_in(data["U"])
             blocks = tuple(P.mask_of(labs) for labs in data["M"])
         except (KeyError, TypeError) as exc:
             raise MalformedDecomposition(f"bad decomposition payload: {exc}") from None
@@ -174,9 +174,8 @@ def classify_tubes(
                 f"bad tube {{{', '.join(P.labels_of(tube))}}} is {kind}"
             )
         (lower if is_lower else upper).append(tube)
-    lower.sort(key=int.bit_count)
-    upper.sort(key=int.bit_count)
     for seq in (lower, upper):
+        seq.sort(key=int.bit_count)
         for small, big in zip(seq, seq[1:]):
             if small & ~big:
                 raise StructureViolation("bad tubes of one kind must be nested")
@@ -239,48 +238,49 @@ def reconstruct(
     decomposition.validate(s_mask)
     blocks = decomposition.blocks
     tubes = set()
-    current = 0
-    taken = 0
-    for part, star in zip(decomposition.lower.sets, decomposition.lower.starred):
-        current |= part
-        if star:
-            current |= blocks[taken]
-            taken += 1
-        tubes.add(current)
-    current = 0
-    taken = 0
-    for part, star in zip(decomposition.upper.sets, decomposition.upper.starred):
-        current |= part
-        if star:
-            taken += 1
-            current |= blocks[len(blocks) - taken]
-        tubes.add(current)
+    for seq, order in ((decomposition.lower, blocks), (decomposition.upper, blocks[::-1])):
+        current = 0
+        taken = 0
+        for part, star in zip(seq.sets, seq.starred):
+            current |= part
+            if star:
+                current |= order[taken]
+                taken += 1
+            tubes.add(current)
     return frozenset(tubes)
+
+
+def flip_tubings(
+    P: Poset, subset: int | Iterable[int], tubings: Iterable[Iterable[int]]
+) -> Iterator[Tubing]:
+    """Images of proper tubings under the flip of an autonomous subset, in order.
+
+    The subset is flipped once.  Good tubes carry over unchanged; bad tubes
+    are decomposed, the block order reversed, and the result rebuilt on the
+    flipped poset.  Each image is re-validated as a proper tubing.
+    """
+    s_mask = as_mask(subset)
+    flipped = flip(P, s_mask)
+    for tubing in tubings:
+        tubes = frozenset(as_mask(t) for t in tubing)
+        classification = classify_tubes(P, s_mask, tubes)
+        decomposition = decompose(P, s_mask, classification)
+        new_bad = reconstruct(flipped, s_mask, decomposition.reversed_blocks())
+        image = classification.good | new_bad
+        if len(image) != len(tubes):
+            raise StructureViolation(
+                f"flip image has {len(image)} tubes, expected {len(tubes)}"
+            )
+        if not is_proper_tubing(flipped, image):
+            raise StructureViolation("flip image is not a proper tubing")
+        yield image
 
 
 def flip_tubing(
     P: Poset, subset: int | Iterable[int], tubing: Iterable[int]
 ) -> Tubing:
-    """Image of a proper tubing under the flip of an autonomous subset.
-
-    Good tubes carry over unchanged; bad tubes are decomposed, the block
-    order reversed, and the result rebuilt on the flipped poset.  The output
-    is re-validated as a proper tubing rather than taken on faith.
-    """
-    s_mask = as_mask(subset)
-    tubes = frozenset(as_mask(t) for t in tubing)
-    classification = classify_tubes(P, s_mask, tubes)
-    decomposition = decompose(P, s_mask, classification)
-    flipped = flip(P, s_mask)
-    new_bad = reconstruct(flipped, s_mask, decomposition.reversed_blocks())
-    image = classification.good | new_bad
-    if len(image) != len(tubes):
-        raise StructureViolation(
-            f"flip image has {len(image)} tubes, expected {len(tubes)}"
-        )
-    if not is_proper_tubing(flipped, image):
-        raise StructureViolation("flip image is not a proper tubing")
-    return image
+    """Image of one proper tubing under the flip of an autonomous subset."""
+    return next(flip_tubings(P, subset, [tubing]))
 
 
 def is_weakly_increasing(P: Poset, blocks: Iterable[int]) -> bool:

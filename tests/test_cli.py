@@ -424,3 +424,68 @@ class TestSchemaVersion:
     def test_errors_are_one_line(self, capsys):
         _, out = invoke(capsys, "fvector", "graded:3")
         assert out.count("\n") == 1 and out.endswith("\n")
+
+
+class TestFlipOutputPin:
+    """Exact stdout bytes of the flip verbs, which no benchmark golden covers."""
+
+    def test_check_invariance_and_flip_map_bytes(self, capsys, poset_file, tubing_file):
+        from hashlib import sha256
+
+        from posetassoc import autonomous_subsets, maximal_tubings, tubing_to_labels
+
+        from conftest import corpus
+
+        digest = sha256()
+        for P in corpus(5):
+            code, out = invoke(capsys, "check-invariance", poset_file(P))
+            assert code == 0
+            digest.update(out.encode())
+        for P in (chain(3), complete_graded((1, 2, 2))):
+            source = poset_file(P)
+            for tubing in (frozenset(), maximal_tubings(P)[0]):
+                tubes = tubing_file(tubing_to_labels(P, tubing))
+                for subset in autonomous_subsets(P, 2):
+                    code, out = invoke(
+                        capsys, "flip-map", source,
+                        "--subset", ",".join(P.labels_of(subset)), "--tubing", tubes,
+                    )
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "e5f585578af756af5436690c0dc513b7ef74991d4d545366233b1aaa9911fd16"
+        )
+
+
+class TestInternalError:
+    def test_invariant_failure_exits_3(self, capsys, monkeypatch):
+        from posetassoc import StructureViolation
+
+        def broken(P):
+            raise StructureViolation("forced failure")
+
+        monkeypatch.setattr("posetassoc.cli.f_vector", broken)
+        code, out = invoke(capsys, "fvector", "--graded", "1,2,2")
+        assert code == 3
+        assert out.count("\n") == 1
+        assert json.loads(out) == {
+            "schema_version": 1,
+            "error": "StructureViolation",
+            "message": "forced failure",
+        }
+
+    def test_only_bugs_are_internal(self):
+        # MalformedDecomposition is also raised for decompositions that
+        # callers pass in, so it keeps exit 1
+        from posetassoc import (
+            DomainError,
+            InternalError,
+            MalformedDecomposition,
+            QuotientNotPoset,
+            StructureViolation,
+        )
+
+        assert issubclass(InternalError, DomainError)
+        assert issubclass(StructureViolation, InternalError)
+        assert issubclass(QuotientNotPoset, InternalError)
+        assert not issubclass(MalformedDecomposition, InternalError)

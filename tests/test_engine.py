@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from posetassoc import (
     Poset,
+    autonomous_subsets,
     enumerate_tubes,
     enumerate_tubings,
     f_vector,
     face_lattice,
+    flip,
+    flip_tubing,
+    flip_tubings,
     maximal_tubings,
 )
 
@@ -94,3 +100,23 @@ class TestRandomAgainstSlowPath:
     @given(connected_posets_7_to_9())
     def test_f_vectors(self, P):
         assert f_vector(P) == recursive_f_vector(P)
+
+    # Each (tubing, subset) pair costs three flip-map calls, and the
+    # strategy's simplest draw, six minima under one top, has 4,683 tubings
+    # and 58 subsets: over a minute on one core.  Draws over a budget of
+    # 10,000 pairs are skipped; 8- and 9-element draws have 10k-220k
+    # tubings, so the examples that run are 7-element posets.
+    @settings(derandomize=True, deadline=None, max_examples=6,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(connected_posets_7_to_9())
+    def test_flip_map_bijection(self, P):
+        subsets = autonomous_subsets(P, 2)
+        budget = 10_000 // len(subsets)
+        tubings = list(islice(enumerate_tubings(P), budget + 1))
+        assume(len(tubings) <= budget)
+        for S in subsets:
+            images = list(flip_tubings(P, S, tubings))
+            assert images == [flip_tubing(P, S, T) for T in tubings]
+            assert [len(image) for image in images] == [len(T) for T in tubings]
+            assert set(images) == set(enumerate_tubings(flip(P, S)))
+            assert list(flip_tubings(flip(P, S), S, images)) == tubings

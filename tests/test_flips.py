@@ -20,6 +20,7 @@ from posetassoc import (
     f_vector,
     flip,
     flip_tubing,
+    flip_tubings,
     is_proper_tubing,
     is_weakly_increasing,
     reconstruct,
@@ -238,6 +239,10 @@ class TestFlipTubing:
     def test_not_autonomous(self):
         with pytest.raises(NotAutonomous):
             flip_tubing(chain(3), as_mask_helper({0, 2}), frozenset())
+
+    def test_streaming_not_autonomous(self):
+        with pytest.raises(NotAutonomous):
+            next(flip_tubings(chain(3), 0b101, [frozenset()]))
 
 
 def as_mask_helper(indices):
