@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from .comparability import autonomous_subsets, flip_sequence
@@ -268,7 +269,9 @@ def _add_poset_source(sub: argparse.ArgumentParser, *, force: bool = False) -> N
         )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every run."""
     parser = argparse.ArgumentParser(
         prog="posetassoc",
         description="Tubings, f-vectors, flips, and face lattices of poset associahedra.",

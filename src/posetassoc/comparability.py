@@ -4,9 +4,10 @@ Also hosts the exhaustive catalog of small posets up to isomorphism used by
 the verification suites: every poset on n elements has a linear extension,
 so each isomorphism class has a representative whose relation matrix is
 strictly upper triangular, and those matrices can be enumerated directly.
-Canonical forms bucket vertices by ``isomorphism.refine``, the package's one
-colour refinement; the catalog's transitivity test is ``posets._is_transitive``,
-next to the other bitmask-row helpers (closure, transpose, reachability).
+Canonical forms bucket vertices by the package's one colour refinement (in
+``isomorphism``) and order each bucket once per arrangement of its twin
+classes; the catalog's transitivity test is ``posets._is_transitive``, next
+to the other bitmask-row helpers (closure, transpose, reachability).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Sequence
 
-from .isomorphism import find_isomorphism, refine
-from .posets import (Poset, _is_transitive, as_mask, flip, is_autonomous, iter_bits,
+from .errors import StructureViolation
+from .isomorphism import _adjacency, _refine, find_isomorphism
+from .posets import (Poset, _is_transitive, as_mask, flip, is_autonomous,
                      mask_members)
 
 GRAPHS_DIFFER = "GraphsDiffer"
@@ -78,10 +80,13 @@ def canonical_rows(rows: Sequence[int]) -> tuple[int, ...]:
 
     Vertices are bucketed by refined color; only permutations that keep
     each bucket in its place are enumerated, which is exact because any
-    isomorphism preserves the colors.
+    isomorphism preserves the colors.  Twins (vertices with equal up- and
+    down-rows) swap by an automorphism, which leaves every matrix as it
+    is, so each bucket is ordered once per arrangement of its twin classes.
     """
     n = len(rows)
-    colors = refine(rows, [0] * n)
+    outs, ins = _adjacency(rows)
+    colors = _refine(outs, ins, [0] * n)
     order = sorted(range(n), key=lambda i: (colors[i], i))
     blocks: list[list[int]] = []
     for i in order:
@@ -89,25 +94,61 @@ def canonical_rows(rows: Sequence[int]) -> tuple[int, ...]:
             blocks[-1].append(i)
         else:
             blocks.append([i])
+    orders = [_twin_orders(b, outs, ins) for b in blocks]
     best: tuple[int, ...] | None = None
     position = [0] * n
-    for combo in itertools.product(*(itertools.permutations(b) for b in blocks)):
+    for combo in itertools.product(*orders):
         offset = 0
         for placed in combo:
             for k, v in enumerate(placed):
                 position[v] = offset + k
             offset += len(placed)
         candidate = [0] * n
-        for v in range(n):
+        for v, out in enumerate(outs):
             row = 0
-            for w in iter_bits(rows[v]):
+            for w in out:
                 row |= 1 << position[w]
             candidate[position[v]] = row
         tup = tuple(candidate)
         if best is None or tup < best:
             best = tup
-    assert best is not None
+    if best is None:
+        raise StructureViolation("canonical form search tried no relabeling")
     return best
+
+
+def _twin_orders(
+    block: list[int], outs: list[list[int]], ins: list[list[int]]
+) -> Iterable[tuple[int, ...]]:
+    """Orders of a colour block, one per arrangement of its twin classes.
+
+    Members of one twin class are placed in ascending order.  A block
+    without twins keeps ``itertools.permutations``.
+    """
+    if len(block) == 1:
+        return (tuple(block),)
+    classes: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+    for v in block:
+        classes.setdefault((tuple(outs[v]), tuple(ins[v])), []).append(v)
+    if len(classes) == len(block):
+        return itertools.permutations(block)
+    groups = list(classes.values())
+    taken = [0] * len(groups)
+    placed: list[int] = []
+
+    def extend():
+        if len(placed) == len(block):
+            yield tuple(placed)
+            return
+        for g, members in enumerate(groups):
+            if taken[g] < len(members):
+                placed.append(members[taken[g]])
+                taken[g] += 1
+                yield from extend()
+                taken[g] -= 1
+                placed.pop()
+
+    return extend()
 
 
 def canonical_form(P: Poset) -> tuple[int, ...]:
@@ -194,7 +235,10 @@ def flip_sequence(P: Poset, P2: Poset, max_depth: int) -> FlipSearchResult:
 
     def finish(final: Poset, steps: tuple[int, ...]) -> FlipSearchResult:
         witness = poset_isomorphism(final, P2)
-        assert witness is not None
+        if witness is None:
+            raise StructureViolation(
+                "canonical forms match but no isomorphism was found"
+            )
         return FlipSearchResult(FlipSequence(steps, witness), None)
 
     start_key = canonical_form(P)

@@ -1,19 +1,59 @@
-"""Colour refinement and backtracking isomorphism search for small digraphs.
+"""Colour refinement and individualization–refinement search for digraphs.
 
 One engine serves comparability graphs (symmetric rows), posets (directed
 rows), and vertex-facet incidence structures (bipartite, two colors).
-Instances stay well under a couple hundred vertices, so iterated degree
-refinement plus plain backtracking is all that is needed.  ``refine`` is
-the one colour refinement of the package: canonical forms in
+``refine`` is the one colour refinement of the package: canonical forms in
 ``comparability`` call it on one graph, ``find_isomorphism`` on the
-disjoint union of two.  The bitmask-row helpers it uses live in ``posets``.
+disjoint union of two.  ``find_isomorphism`` is the individualization–
+refinement scheme of McKay and Piperno ("Practical graph isomorphism, II",
+J. Symb. Comput. 2014): it gives one vertex of each graph a fresh colour
+and refines again after every assignment, so a branch that cannot extend
+dies as soon as the two colourings disagree.  The bitmask-row helpers it
+uses live in ``posets``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .posets import _transpose, iter_bits
+from .posets import iter_bits
+
+
+def _adjacency(rows: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Out- and in-neighbour lists of a digraph, each in ascending order."""
+    outs = [list(iter_bits(row)) for row in rows]
+    ins: list[list[int]] = [[] for _ in rows]
+    for i, out in enumerate(outs):
+        for j in out:
+            ins[j].append(i)
+    return outs, ins
+
+
+def _refine(outs: list[list[int]], ins: list[list[int]], colors: Sequence,
+            cells: int | None = None) -> list[int]:
+    """``refine`` on neighbour lists, so a search builds them only once.
+
+    Stops early once there are ``cells`` colours (all vertices by default):
+    a discrete colouring is stable, and the next round would only renumber
+    it in the same order.
+    """
+    if cells is None:
+        cells = len(outs)
+    count = len(set(colors))
+    while True:
+        sigs = [
+            (
+                colors[i],
+                tuple(sorted([colors[j] for j in out])),
+                tuple(sorted([colors[j] for j in ins[i]])),
+            )
+            for i, out in enumerate(outs)
+        ]
+        table = {s: c for c, s in enumerate(sorted(set(sigs)))}
+        new = [table[s] for s in sigs]
+        if len(table) == count or len(table) >= cells:
+            return new
+        colors, count = new, len(table)
 
 
 def refine(rows: Sequence[int], colors: Sequence) -> list[int]:
@@ -25,22 +65,7 @@ def refine(rows: Sequence[int], colors: Sequence) -> list[int]:
     result depends only on the colored graph up to isomorphism, so on a
     disjoint union the colors of the two parts are directly comparable.
     """
-    n = len(rows)
-    in_rows = _transpose(rows)
-    while True:
-        sigs = [
-            (
-                colors[i],
-                tuple(sorted(colors[j] for j in iter_bits(rows[i]))),
-                tuple(sorted(colors[j] for j in iter_bits(in_rows[i]))),
-            )
-            for i in range(n)
-        ]
-        table = {s: c for c, s in enumerate(sorted(set(sigs)))}
-        new = [table[s] for s in sigs]
-        if len(table) == len(set(colors)):
-            return new
-        colors = new
+    return _refine(*_adjacency(rows), colors)
 
 
 def find_isomorphism(
@@ -51,10 +76,19 @@ def find_isomorphism(
 ) -> tuple[int, ...] | None:
     """Map vertices of graph 1 onto graph 2 preserving edges and colors.
 
-    Returns the first witness found when assigning vertex 0, 1, 2, ... of
-    graph 1 in order and trying targets in ascending index order, so the
-    result is deterministic (lexicographically least over the pruned search).
-    Returns None when no isomorphism exists.
+    Returns the lexicographically least isomorphism (as the tuple of images
+    of vertex 0, 1, 2, ... of graph 1), or None when there is none.
+
+    The disjoint union, graph 2 shifted up by n vertices, is refined so both
+    graphs are numbered by one colour table.  The search branches on the
+    lowest vertex of graph 1 whose colour is not a singleton, trying the
+    vertices of graph 2 with that colour in ascending order; each choice
+    gives the pair one fresh colour and refines again, and a branch whose
+    halves carry different colour multisets holds no isomorphism.  Every
+    isomorphism of a branch maps a singleton class onto its partner, so
+    the vertices below the branch vertex are forced and the first success
+    is the least isomorphism.  Once the halves pair off, the mapping is
+    read off the colours and checked edge by edge.
     """
     n = len(out1)
     if len(out2) != n:
@@ -63,40 +97,34 @@ def find_isomorphism(
         colors1 = [0] * n
     if colors2 is None:
         colors2 = [0] * n
-    # Refine the disjoint union, graph 2 shifted up by n vertices, so that
-    # both graphs are numbered by one colour table.
-    union = [*out1, *(row << n for row in out2)]
-    colors = refine(union, [*colors1, *colors2])
-    c1, c2 = colors[:n], colors[n:]
-    if sorted(c1) != sorted(c2):
-        return None
-    candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in range(n)]
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def consistent(i: int, j: int) -> bool:
-        for k in range(i):
-            m = mapping[k]
-            if bool(out1[k] & (1 << i)) != bool(out2[m] & (1 << j)):
-                return False
-            if bool(out1[i] & (1 << k)) != bool(out2[j] & (1 << m)):
-                return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == n:
-            return True
-        for j in candidates[i]:
-            if not used[j] and consistent(i, j):
-                mapping[i] = j
-                used[j] = True
-                if search(i + 1):
-                    return True
-                used[j] = False
-        mapping[i] = -1
-        return False
-
-    if search(0):
-        return tuple(mapping)
+    outs, ins = _adjacency([*out1, *(row << n for row in out2)])
+    fresh = 2 * n  # above every refined colour
+    # Depth-first over colourings still to refine; a node's children are
+    # pushed in descending target order so the least target is tried first.
+    # Refinement may stop at n colours: a balanced colouring with n colours
+    # pairs the halves off, and one more round would split a pair only if
+    # the mapping read off it fails the edge check anyway.
+    stack = [[*colors1, *colors2]]
+    while stack:
+        colors = _refine(outs, ins, stack.pop(), n)
+        c1, c2 = colors[:n], colors[n:]
+        if sorted(c1) != sorted(c2):
+            continue
+        sizes = [0] * len(colors)
+        for c in c1:
+            sizes[c] += 1
+        branch = next((i for i in range(n) if sizes[c1[i]] > 1), None)
+        if branch is None:
+            image = {c: j for j, c in enumerate(c2)}
+            mapping = tuple(image[c] for c in c1)
+            if all(
+                out2[mapping[i]] == sum(1 << mapping[k] for k in outs[i])
+                for i in range(n)
+            ):
+                return mapping
+            continue
+        for j in reversed([j for j in range(n) if c2[j] == c1[branch]]):
+            trial = colors.copy()
+            trial[branch] = trial[n + j] = fresh
+            stack.append(trial)
     return None

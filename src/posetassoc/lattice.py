@@ -141,27 +141,28 @@ def permutohedron_f_vector(n: int) -> tuple[int, ...]:
 # -- equivalence and polygon census ------------------------------------------
 
 
+def _incidence(L: FaceLattice) -> tuple[list[int], list[int]]:
+    """Vertex-facet incidence graph: rows (vertices first) and colours."""
+    verts = L.faces_of_rank(0)
+    facets = L.faces_of_rank(L.dim - 1)
+    rows = [0] * (len(verts) + len(facets))
+    colors = [0] * len(verts) + [1] * len(facets)
+    for fi, facet in enumerate(facets):
+        node = len(verts) + fi
+        for v in facet.vertices:
+            rows[node] |= 1 << v
+            rows[v] |= 1 << node
+    return rows, colors
+
+
 def lattices_equivalent(A: FaceLattice, B: FaceLattice) -> bool:
     """Rank-preserving lattice isomorphism, decided on vertex-facet incidences."""
     if A.dim != B.dim or A.rank_counts() != B.rank_counts():
         return False
     if A.dim == 0:
         return True
-
-    def incidence(L: FaceLattice) -> tuple[list[int], list[int]]:
-        verts = L.faces_of_rank(0)
-        facets = L.faces_of_rank(L.dim - 1)
-        rows = [0] * (len(verts) + len(facets))
-        colors = [0] * len(verts) + [1] * len(facets)
-        for fi, facet in enumerate(facets):
-            node = len(verts) + fi
-            for v in facet.vertices:
-                rows[node] |= 1 << v
-                rows[v] |= 1 << node
-        return rows, colors
-
-    rows_a, colors_a = incidence(A)
-    rows_b, colors_b = incidence(B)
+    rows_a, colors_a = _incidence(A)
+    rows_b, colors_b = _incidence(B)
     return find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
 
 

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the package's bitmask machinery: they
 work on label pairs and plain sets, and use networkx for cycle detection,
 so a bug in the fast path cannot hide in its own re-check.  The slow
-reference enumerators at the end are the straightforward mask scans the
-fast engine replaced; the differential tests compare the two.
+reference paths at the end are the straightforward mask scans the fast
+tube engine replaced and the blind searches the isomorphism engine
+replaced; the differential tests compare each with its fast path, on the
+catalogs and on the hypothesis-drawn posets of ``connected_posets_7_to_9``.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import strategies as st
 
 from posetassoc import Poset, connected_posets, is_proper_tube, mask_members
+from posetassoc.isomorphism import refine
 
 
 def corpus(max_n: int, min_n: int = 2) -> list[Poset]:
@@ -33,6 +37,28 @@ def connected_upto_5() -> list[Poset]:
 @pytest.fixture(scope="session")
 def connected_upto_4() -> list[Poset]:
     return corpus(4)
+
+
+@st.composite
+def connected_posets_7_to_9(draw) -> Poset:
+    """A random tree with randomly oriented edges connects the elements;
+    extra relations follow a linear extension of the tree, so no cycle forms.
+    """
+    n = draw(st.integers(7, 9))
+    tree = []
+    for child in range(1, n):
+        parent = draw(st.integers(0, child - 1))
+        tree.append((parent, child) if draw(st.booleans()) else (child, parent))
+    base = Poset.from_relations([f"v{i}" for i in range(n)], tree)
+    # strictly more elements lie below an element than below any element under it
+    rank = [base.down[i].bit_count() for i in range(n)]
+    extra = [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if rank[a] < rank[b] and draw(st.integers(0, 5)) == 0
+    ]
+    return Poset.from_relations(base.labels, tree + extra)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -255,3 +281,79 @@ def expanded_permutohedron(n: int) -> tuple[list[tuple], list[tuple[int, int]]]:
             merged = tuple(sorted(p[i] + p[i + 1]))
             covers.append((index_of[p], index_of[p[:i] + (merged,) + p[i + 2 :]]))
     return faces, sorted(covers)
+
+
+# -- the first isomorphism searches ---------------------------------------------
+#
+# The package's first canonical form and isomorphism search, kept as
+# differential oracles for the individualization-refinement engine: a
+# product loop over every permutation inside each colour class, and a
+# backtracking search that refines once and then checks each assignment
+# against the vertices already mapped.
+
+
+def product_canonical_rows(rows) -> tuple[int, ...]:
+    """Minimum relation matrix over every relabeling that keeps refine's blocks."""
+    n = len(rows)
+    colors = refine(rows, [0] * n)
+    order = sorted(range(n), key=lambda i: (colors[i], i))
+    blocks: list[list[int]] = []
+    for i in order:
+        if blocks and colors[blocks[-1][0]] == colors[i]:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    best = None
+    position = [0] * n
+    for combo in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        offset = 0
+        for placed in combo:
+            for k, v in enumerate(placed):
+                position[v] = offset + k
+            offset += len(placed)
+        candidate = [0] * n
+        for v in range(n):
+            for w in mask_members(rows[v]):
+                candidate[position[v]] |= 1 << position[w]
+        if best is None or tuple(candidate) < best:
+            best = tuple(candidate)
+    return best
+
+
+def backtrack_isomorphism(out1, out2, colors1=None, colors2=None):
+    """Lexicographically least colour- and edge-preserving bijection, or None."""
+    n = len(out1)
+    if len(out2) != n:
+        return None
+    colors1 = [0] * n if colors1 is None else colors1
+    colors2 = [0] * n if colors2 is None else colors2
+    colors = refine([*out1, *(row << n for row in out2)], [*colors1, *colors2])
+    c1, c2 = colors[:n], colors[n:]
+    if sorted(c1) != sorted(c2):
+        return None
+    candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in range(n)]
+    mapping = [-1] * n
+    used = [False] * n
+
+    def consistent(i: int, j: int) -> bool:
+        for k in range(i):
+            m = mapping[k]
+            if bool(out1[k] >> i & 1) != bool(out2[m] >> j & 1):
+                return False
+            if bool(out1[i] >> k & 1) != bool(out2[j] >> m & 1):
+                return False
+        return True
+
+    def search(i: int) -> bool:
+        if i == n:
+            return True
+        for j in candidates[i]:
+            if not used[j] and consistent(i, j):
+                mapping[i] = j
+                used[j] = True
+                if search(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return tuple(mapping) if search(0) else None

@@ -101,6 +101,26 @@ def test_criterion_4_same_f_vector_not_equivalent():
     )
 
 
+def test_equivalences_that_invariants_cannot_decide():
+    # graded(1,3,1), graded(1,1,3) and the permutohedron on 4 letters share
+    # the f-vector and the polygon census {4: 6, 6: 8}; only the incidence
+    # isomorphism tells them apart or joins them
+    started = time.time()
+    graded_131 = face_lattice(complete_graded((1, 3, 1)))
+    assert polygon_census(graded_131) == polygon_census(permutohedron_lattice(4))
+    assert lattices_equivalent(graded_131, permutohedron_lattice(4))
+    assert lattices_equivalent(face_lattice(complete_graded((1, 1, 3))), graded_131)
+    assert lattices_equivalent(
+        face_lattice(complete_graded((1, 4, 1))), permutohedron_lattice(5)
+    )
+    assert not lattices_equivalent(
+        face_lattice(complete_graded((1, 2, 2))), permutohedron_lattice(4)
+    )
+    elapsed = time.time() - started
+    print(f"PASS graded(1,3,1), graded(1,1,3), graded(1,4,1) are permutohedra ({elapsed:.2f}s)")
+    assert elapsed < 5.0
+
+
 def test_criterion_5_f_vector_flip_invariance_exhaustive():
     started = time.time()
     flips = 0

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import posetassoc
 from posetassoc import chain, complete_graded
 from posetassoc.cli import run
 
@@ -279,6 +283,11 @@ class TestEquiv:
         )
         assert code == 0 and data["equivalent"] is False
 
+    def test_graded_131_is_a_permutohedron(self, capsys):
+        code, out = invoke(capsys, "equiv", "graded:1,3,1", "--permutohedron", "4")
+        assert code == 0
+        assert '"equivalent": true' in out
+
     def test_usage_error_when_both_targets(self, capsys, poset_file):
         with pytest.raises(SystemExit) as err:
             run(["equiv", "graded:2,2", "graded:2,2", "--permutohedron", "4"])
@@ -318,6 +327,28 @@ class TestFlipSeq:
             capsys, "flip-seq", "graded:1,2", "graded:2,1", "--max-depth", "0"
         )
         assert code == 0 and data["reason"] == "DepthExhausted"
+
+    def test_missing_witness_is_internal_error(self, capsys, monkeypatch):
+        # the comparability graphs still match, but the poset isomorphism
+        # behind equal canonical forms goes missing: a bug, exit 3
+        from posetassoc import comparability
+
+        real = comparability.find_isomorphism
+        calls = []
+
+        def lose_poset_witness(*args):
+            calls.append(args)
+            return real(*args) if len(calls) == 1 else None
+
+        monkeypatch.setattr(comparability, "find_isomorphism", lose_poset_witness)
+        code, out = invoke(capsys, "flip-seq", "graded:1,2", "graded:2,1")
+        assert code == 3
+        assert json.loads(out) == {
+            "schema_version": 1,
+            "error": "StructureViolation",
+            "message": "canonical forms match but no isomorphism was found",
+        }
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("depth", ["-3", "two"])
     def test_bad_depth_is_usage_error(self, capsys, depth):
@@ -395,6 +426,43 @@ class TestUsage:
     def test_nonpositive_part_is_domain_error(self, capsys):
         code, data = invoke_json(capsys, "fvector", "--graded", "0,2")
         assert code == 1 and data["error"] == "MalformedInput"
+
+
+class TestParserReuse:
+    """``run`` reuses one parser, so each call must act as in a fresh process."""
+
+    CALLS = (
+        ("flip-seq", "graded:1,2", "graded:2,1", "--max-depth", "two"),  # usage error
+        ("tubings", "graded:7,7"),  # domain error: past the size guard
+        ("--format", "csv", "fvector", "--graded", "1,2,2"),  # success
+    )
+
+    @staticmethod
+    def in_this_process(capsys, argv):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def in_a_fresh_process(argv):
+        src = os.path.dirname(os.path.dirname(posetassoc.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from posetassoc.cli import main; sys.exit(main())",
+             *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        # argparse wraps its usage text to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        got = [self.in_this_process(capsys, argv) for argv in self.CALLS]
+        assert [code for code, _, _ in got] == [2, 1, 0]
+        assert got == [self.in_a_fresh_process(argv) for argv in self.CALLS]
 
 
 class TestSchemaVersion:

@@ -6,7 +6,6 @@ from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
 
 from posetassoc import (
     Poset,
@@ -22,6 +21,7 @@ from posetassoc import (
 )
 
 from conftest import (
+    connected_posets_7_to_9,
     corpus,
     recursive_f_vector,
     recursive_tubings,
@@ -64,28 +64,6 @@ class TestCatalogAgainstSlowPath:
         for P in connected_upto_6:
             faces = {face.key: face.vertices for face in face_lattice(P).faces}
             assert faces == scan_face_vertices(P)
-
-
-@st.composite
-def connected_posets_7_to_9(draw) -> Poset:
-    """A random tree with randomly oriented edges connects the elements;
-    extra relations follow a linear extension of the tree, so no cycle forms.
-    """
-    n = draw(st.integers(7, 9))
-    tree = []
-    for child in range(1, n):
-        parent = draw(st.integers(0, child - 1))
-        tree.append((parent, child) if draw(st.booleans()) else (child, parent))
-    base = Poset.from_relations([f"v{i}" for i in range(n)], tree)
-    # strictly more elements lie below an element than below any element under it
-    rank = [base.down[i].bit_count() for i in range(n)]
-    extra = [
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if rank[a] < rank[b] and draw(st.integers(0, 5)) == 0
-    ]
-    return Poset.from_relations(base.labels, tree + extra)
 
 
 class TestRandomAgainstSlowPath:

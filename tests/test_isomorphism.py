@@ -1,0 +1,177 @@
+"""The individualization-refinement engine against the first searches."""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+
+from posetassoc import (
+    StructureViolation,
+    all_posets,
+    canonical_form,
+    complete_graded,
+    connected_posets,
+    dual,
+    face_lattice,
+    permutohedron_lattice,
+)
+from posetassoc import comparability
+from posetassoc.comparability import canonical_rows
+from posetassoc.isomorphism import find_isomorphism
+from posetassoc.lattice import _incidence
+
+from conftest import backtrack_isomorphism, connected_posets_7_to_9, product_canonical_rows
+
+
+def relabel(rows, perm) -> list[int]:
+    """The relation carried along perm: perm[i] relates to perm[j] iff i relates to j."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in range(len(rows)):
+            if row >> j & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return out
+
+
+def shuffled(rows, rng: random.Random) -> list[int]:
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return relabel(rows, perm)
+
+
+def catalog(max_n: int = 6):
+    return [P for n in range(1, max_n + 1) for P in all_posets(n)]
+
+
+class TestCanonicalRowsAgainstProductLoop:
+    def test_shuffled_catalog(self):
+        rng = random.Random(6)
+        for P in catalog():
+            rows = shuffled(P.up, rng)
+            assert canonical_rows(rows) == product_canonical_rows(rows)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(connected_posets_7_to_9())
+    def test_random_posets(self, P):
+        rows = shuffled(P.up, random.Random(P.n))
+        assert canonical_rows(P.up) == product_canonical_rows(P.up)
+        assert canonical_rows(rows) == product_canonical_rows(rows)
+
+    def test_twin_classes_collapse(self):
+        # two levels of seven twins: the product loop would try 7!^2 orders
+        P = complete_graded((7, 7))
+        assert canonical_form(P) == (0,) * 7 + ((1 << 7) - 1,) * 7
+
+    def test_empty_search_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(comparability, "_twin_orders", lambda *args: ())
+        with pytest.raises(StructureViolation):
+            canonical_rows((0b10, 0))
+
+
+class TestFindIsomorphismAgainstBacktracking:
+    def test_shuffled_copies(self):
+        rng = random.Random(7)
+        for P in catalog():
+            rows = shuffled(P.up, rng)
+            witness = find_isomorphism(P.up, rows)
+            assert witness is not None
+            assert witness == backtrack_isomorphism(P.up, rows)
+
+    def test_duals(self):
+        found = 0
+        for P in catalog():
+            witness = find_isomorphism(P.up, dual(P).up)
+            assert witness == backtrack_isomorphism(P.up, dual(P).up)
+            found += witness is not None
+        assert 0 < found < len(catalog())
+
+    def test_colored_inputs(self):
+        rng = random.Random(8)
+        for P in catalog(5):
+            colors = [rng.randrange(2) for _ in range(P.n)]
+            perm = list(range(P.n))
+            rng.shuffle(perm)
+            rows = relabel(P.up, perm)
+            moved = [0] * P.n
+            for i, c in enumerate(colors):
+                moved[perm[i]] = c
+            other = [1 - c for c in moved]
+            for target in (moved, other):
+                got = find_isomorphism(P.up, rows, colors, target)
+                assert got == backtrack_isomorphism(P.up, rows, colors, target)
+            assert find_isomorphism(P.up, rows, colors, moved) is not None
+
+    def test_random_digraphs(self):
+        # Digraphs, not only posets.  Some pairs pair off at n colours one
+        # round before refinement would split them, and only the edge check
+        # of the read-off mapping rejects them, as in the pair at the end.
+        rng = random.Random(9)
+        for _ in range(2000):
+            n = rng.randint(2, 7)
+            density = rng.random()
+            a, b = ([sum(1 << j for j in range(n) if j != i and rng.random() < density)
+                     for i in range(n)] for _ in range(2))
+            assert find_isomorphism(a, b) == backtrack_isomorphism(a, b)
+            b = shuffled(a, rng)
+            assert find_isomorphism(a, b) == backtrack_isomorphism(a, b)
+        assert backtrack_isomorphism([14, 5, 1, 6], [8, 13, 3, 3]) is None
+        assert find_isomorphism([14, 5, 1, 6], [8, 13, 3, 3]) is None
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(connected_posets_7_to_9())
+    def test_random_posets(self, P):
+        rows = shuffled(P.up, random.Random(P.n))
+        assert find_isomorphism(P.up, rows) == backtrack_isomorphism(P.up, rows)
+        assert find_isomorphism(P.up, dual(P).up) == backtrack_isomorphism(P.up, dual(P).up)
+
+    def test_four_element_incidences(self):
+        # the 4-element lattices are polygons, so the hexagon joins them
+        incidences = [_incidence(face_lattice(P)) for P in connected_posets(4)]
+        incidences.append(_incidence(permutohedron_lattice(3)))
+        found = 0
+        for rows_a, colors_a in incidences:
+            for rows_b, colors_b in incidences:
+                witness = find_isomorphism(rows_a, rows_b, colors_a, colors_b)
+                assert witness == backtrack_isomorphism(rows_a, rows_b, colors_a, colors_b)
+                found += witness is not None
+        assert found > len(incidences)
+
+    def test_five_element_incidences(self):
+        # The backtracking oracle stalls on about a hundred of these pairs
+        # (the blind search the engine replaced), so it checks each lattice
+        # against itself, and networkx's VF2++ decides every pair with equal
+        # rank counts; each witness is checked edge by edge and colour by colour.
+        lattices = [face_lattice(P) for P in connected_posets(5)]
+        incidences = [_incidence(L) for L in lattices]
+        for rows, colors in incidences:
+            assert find_isomorphism(rows, rows, colors, colors) == backtrack_isomorphism(
+                rows, rows, colors, colors
+            )
+        graphs = [colored_graph(rows, colors) for rows, colors in incidences]
+        answers = []
+        for a, b in itertools.combinations_with_replacement(range(len(lattices)), 2):
+            if lattices[a].rank_counts() != lattices[b].rank_counts():
+                continue
+            (rows_a, colors_a), (rows_b, colors_b) = incidences[a], incidences[b]
+            witness = find_isomorphism(rows_a, rows_b, colors_a, colors_b)
+            assert (witness is not None) == nx.vf2pp_is_isomorphic(
+                graphs[a], graphs[b], node_label="color"
+            )
+            if witness is not None:
+                assert [colors_b[j] for j in witness] == colors_a
+                assert relabel(rows_a, witness) == rows_b
+            answers.append(witness is not None)
+        assert 0 < answers.count(False) < answers.count(True)
+
+
+def colored_graph(rows, colors) -> nx.Graph:
+    graph = nx.Graph()
+    for i, color in enumerate(colors):
+        graph.add_node(i, color=color)
+    for i, row in enumerate(rows):
+        graph.add_edges_from((i, j) for j in range(len(rows)) if row >> j & 1)
+    return graph
