@@ -1,13 +1,14 @@
 """Comparability graphs, canonical forms, and flip-sequence search.
 
 Also hosts the exhaustive catalog of small posets up to isomorphism used by
-the verification suites: every poset on n elements has a linear extension,
-so each isomorphism class has a representative whose relation matrix is
-strictly upper triangular, and those matrices can be enumerated directly.
-Canonical forms bucket vertices by the package's one colour refinement (in
-``isomorphism``) and order each bucket once per arrangement of its twin
-classes; the catalog's transitivity test is ``posets._is_transitive``, next
-to the other bitmask-row helpers (closure, transpose, reachability).
+the verification suites.  It is grown one top element at a time: removing a
+maximal element from a poset on n elements leaves a poset on n - 1 elements
+in which the removed element's down-set is an order ideal, so placing a new
+maximal element over every order ideal of every poset on n - 1 elements
+reaches every class on n elements, each extension transitive by
+construction.  Canonical forms bucket vertices by the package's one colour
+refinement (in ``isomorphism``) and order each bucket once per arrangement
+of its twin classes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import StructureViolation
 from .isomorphism import _adjacency, _refine, find_isomorphism
-from .posets import (Poset, _is_transitive, as_mask, flip, is_autonomous,
+from .posets import (Poset, _union_rows, as_mask, flip, is_autonomous,
                      mask_members)
 
 GRAPHS_DIFFER = "GraphsDiffer"
@@ -164,22 +165,19 @@ def _catalog_labels(n: int) -> tuple[str, ...]:
 def all_posets(n: int) -> tuple[Poset, ...]:
     """Every poset on n elements, one per isomorphism class.
 
-    Enumerates strictly upper triangular transitive relations (each class
-    has one for every natural labeling) and dedupes by canonical form.
-    Deterministically ordered.
+    The canonical forms of every poset on n - 1 elements (the empty poset
+    for n = 1) with a new top element over one of its order ideals, sorted.
     """
     if n == 0:
         return ()
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    labels = _catalog_labels(n)
+    top = 1 << (n - 1)
     seen: set[tuple[int, ...]] = set()
-    for code in range(1 << len(pairs)):
-        rows = [0] * n
-        for b, (i, j) in enumerate(pairs):
-            if code >> b & 1:
-                rows[i] |= 1 << j
-        if _is_transitive(rows):
-            seen.add(canonical_rows(rows))
+    for Q in all_posets(n - 1) or (Poset((), ()),):
+        for ideal in range(top):
+            if not _union_rows(Q.down, ideal) & ~ideal:
+                rows = [r | top if ideal >> i & 1 else r for i, r in enumerate(Q.up)]
+                seen.add(canonical_rows(rows + [0]))
+    labels = _catalog_labels(n)
     return tuple(Poset(labels, form) for form in sorted(seen))
 
 

@@ -75,8 +75,9 @@ def _transitive_closure(rows: Sequence[int]) -> list[int]:
 def _is_transitive(rows: Sequence[int]) -> bool:
     """Whether every row contains the rows of its members.
 
-    An explicit low-bit loop with an early exit: the catalog build calls
-    this once per candidate relation, so it stays free of generators.
+    An explicit low-bit loop with an early exit: ``Poset.__init__`` calls
+    this on every parse, flip and restriction, so it stays free of
+    generators.
     """
     for row in rows:
         rest = row

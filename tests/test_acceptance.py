@@ -18,7 +18,6 @@ from posetassoc import (
     classify_tubes,
     comparability_graph,
     complete_graded,
-    connected_posets,
     decompose,
     enumerate_tubes,
     enumerate_tubings,
@@ -42,18 +41,13 @@ from posetassoc import (
 )
 from posetassoc.comparability import canonical_rows
 
+from conftest import corpus
+
 
 def report(number: int, description: str, started: float, budget: float) -> None:
     elapsed = time.time() - started
     print(f"PASS criterion {number}: {description} ({elapsed:.2f}s)")
     assert elapsed < budget, f"criterion {number} exceeded {budget}s ({elapsed:.2f}s)"
-
-
-def corpus(max_n: int) -> list:
-    out = []
-    for n in range(2, max_n + 1):
-        out.extend(connected_posets(n))
-    return out
 
 
 def test_criterion_1_pentagon():
@@ -237,4 +231,23 @@ def test_criterion_9_flip_sequences_join_comparability_classes():
         f"flip sequences found for all {pairs} comparability-equivalent pairs",
         started,
         300.0,
+    )
+
+
+def test_criterion_10_f_vector_depends_only_on_comparability_graph():
+    # the paper's theorem, checked directly: group the connected posets by
+    # the canonical form of their comparability graph
+    started = time.time()
+    posets = corpus(7)
+    f_vectors = defaultdict(set)
+    for P in posets:
+        f_vectors[canonical_rows(comparability_graph(P).adjacency)].add(f_vector(P))
+    split = [fs for fs in f_vectors.values() if len(fs) > 1]
+    assert not split, split
+    report(
+        10,
+        f"one f-vector per comparability class: {len(posets)} connected posets"
+        f" <= 7 in {len(f_vectors)} classes",
+        started,
+        60.0,
     )

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posetassoc
 from posetassoc import chain, complete_graded
@@ -557,3 +562,139 @@ class TestInternalError:
         assert issubclass(StructureViolation, InternalError)
         assert issubclass(QuotientNotPoset, InternalError)
         assert not issubclass(MalformedDecomposition, InternalError)
+
+
+def mostly(draw) -> bool:
+    """True nine times in ten, and for hypothesis's simplest draw."""
+    return draw(st.integers(0, 9)) < 9
+
+
+class TestFuzz:
+    """Random verbs, poset sources and flags: every call ends in a clean exit.
+
+    Posets stay at 6 elements or fewer; the size guard admits far larger
+    ones (graded(3,3,3,3) passes it, and its f-vector alone takes minutes).
+    """
+
+    VERBS = ("fvector", "hvector", "tubes", "tubings", "maximal", "decompose",
+             "flip-map", "check-invariance", "equiv", "polygons", "flip-seq")
+    LABELS = ("a", "b", "c", "d", "e", "f")
+    # labels of the JSON posets, of small graded posets, and two of neither
+    SUBSET_LABELS = LABELS + ("x1_1", "x2_1", "x2_2", "x3_1", "z", "")
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(LABELS + ("q",)),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(("elements", "relations", "tubes")), inner,
+                          max_size=2),
+        max_leaves=6,
+    )
+    pairs = st.lists(st.sampled_from(LABELS), min_size=2, max_size=2)
+    malformed_poset_files = (
+        st.fixed_dictionaries({
+            "elements": st.lists(st.sampled_from(LABELS), max_size=4),  # may repeat
+            "relations": st.lists(pairs | json_values, max_size=4),
+        })
+        | st.fixed_dictionaries({"relations": st.lists(pairs, max_size=3)})
+        | json_values  # mostly not an object
+    ).map(json.dumps) | st.sampled_from((
+        "{not json",
+        '{"elements": ["a", "b", "c"], "relations": [["a", "b"], ["b", "c"], ["c", "a"]]}',
+    ))
+    tubing_files = (
+        st.fixed_dictionaries({"tubes": st.lists(
+            st.lists(st.sampled_from(SUBSET_LABELS), max_size=3), max_size=3)})
+        | json_values
+    ).map(json.dumps)
+    compositions = st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+        lambda parts: sum(parts) <= 6).map(lambda parts: ",".join(map(str, parts)))
+    malformed_compositions = st.sampled_from(("", "0,2", "two,2", "-1", "2,,2"))
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @staticmethod
+    def call(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue()
+
+    @classmethod
+    def poset_source(cls, draw, path):
+        """A graded: source, a JSON file written to path, or a file never written."""
+        kind = draw(st.sampled_from(
+            ("graded", "graded", "bad graded", "file", "file", "bad file", "missing")))
+        if kind == "graded":
+            return "graded:" + draw(cls.compositions)
+        if kind == "bad graded":
+            return "graded:" + draw(cls.malformed_compositions)
+        if kind == "file":
+            elements = draw(st.lists(
+                st.sampled_from(cls.LABELS), unique=True, min_size=1, max_size=6))
+            # pairs point up the element order, so they close into no cycle
+            upward = list(itertools.combinations(elements, 2))
+            relations = draw(st.lists(st.sampled_from(upward), max_size=6)) if upward else []
+            path.write_text(json.dumps({"elements": elements, "relations": relations}),
+                            encoding="utf-8")
+        elif kind == "bad file":
+            path.write_text(draw(cls.malformed_poset_files), encoding="utf-8")
+        else:
+            path = path.with_suffix(".missing")
+        return str(path)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(data=st.data())
+    def test_every_call_exits_cleanly(self, workdir, data):
+        draw = data.draw
+        verb = draw(st.sampled_from(self.VERBS))
+        argv = ["--format", "csv"] if draw(st.booleans()) else []
+        argv.append(verb)
+        if mostly(draw):
+            argv.append(self.poset_source(draw, workdir / "first.json"))
+        else:
+            argv += ["--graded", draw(self.compositions | self.malformed_compositions)]
+        if verb == "flip-seq" and mostly(draw):
+            argv.append(self.poset_source(draw, workdir / "second.json"))
+        if verb == "equiv":
+            # only one of a second poset and --permutohedron is valid
+            target = draw(st.sampled_from(("poset", "permutohedron", "both", "neither")))
+            if target in ("poset", "both"):
+                argv.append(self.poset_source(draw, workdir / "second.json"))
+            if target in ("permutohedron", "both"):
+                argv += ["--permutohedron", str(draw(st.integers(-2, 5)))]
+        if verb == "flip-seq" and draw(st.booleans()):
+            argv += ["--max-depth", draw(st.sampled_from(
+                ("0", "1", "3", "8", " 2", "-1", "two", "1.5", "")))]
+        if verb in ("decompose", "flip-map"):
+            if mostly(draw):
+                argv += ["--subset", ",".join(draw(st.lists(
+                    st.sampled_from(self.SUBSET_LABELS), max_size=3)))]
+            if mostly(draw):
+                tubing = workdir / "tubing.json"
+                if mostly(draw):
+                    tubing.write_text(draw(self.tubing_files), encoding="utf-8")
+                else:
+                    tubing = workdir / "missing-tubing.json"
+                argv += ["--tubing", str(tubing)]
+        if verb == "tubings" and draw(st.booleans()):
+            argv.append("--count-only")
+        if not mostly(draw):
+            argv.append("--force")
+
+        code, out = self.call(argv)
+        assert code in (0, 1, 2), (argv, code, out)
+        if code == 2:
+            assert out == "", argv
+        elif code == 1 or "csv" not in argv:
+            assert out.count("\n") == 1 and out.endswith("\n"), (argv, out)
+            payload = json.loads(out)
+            assert isinstance(payload, dict) and payload["schema_version"] == 1, argv
+            if code == 1:
+                assert {"error", "message"} <= payload.keys(), argv
+        else:
+            assert out.startswith("schema_version,1\n"), (argv, out)

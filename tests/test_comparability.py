@@ -151,9 +151,12 @@ class TestAutonomousSubsets:
 
 
 class TestCatalog:
-    # classic counts: posets 1,2,5,16,63 and connected posets 1,1,3,10,44
+    # classic counts (OEIS A000112 and A000608): posets 1,2,5,16,63,318,2045
+    # and connected posets 1,1,3,10,44,238,1650
     @pytest.mark.parametrize(
-        "n,total,connected", [(1, 1, 1), (2, 2, 1), (3, 5, 3), (4, 16, 10), (5, 63, 44)]
+        "n,total,connected",
+        [(1, 1, 1), (2, 2, 1), (3, 5, 3), (4, 16, 10), (5, 63, 44), (6, 318, 238),
+         (7, 2045, 1650)],
     )
     def test_counts(self, n, total, connected):
         assert len(all_posets(n)) == total
