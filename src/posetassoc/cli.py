@@ -92,6 +92,8 @@ def _load_tubing(P: Poset, path: str):
         for tube in tubes
     ):
         raise MalformedInput('"tubes" must be a list of lists of element labels')
+    if any(len(set(tube)) != len(tube) for tube in tubes):
+        raise MalformedInput("a tube in the tubing file names a label twice")
     tubing = tubing_from_labels(P, tubes)
     if len(tubing) != len(tubes):
         raise MalformedInput("tubing file lists the same tube twice")

@@ -97,22 +97,14 @@ def canonical_rows(rows: Sequence[int]) -> tuple[int, ...]:
             blocks.append([i])
     orders = [_twin_orders(b, outs, ins) for b in blocks]
     best: tuple[int, ...] | None = None
-    position = [0] * n
+    image = [0] * n
     for combo in itertools.product(*orders):
-        offset = 0
-        for placed in combo:
-            for k, v in enumerate(placed):
-                position[v] = offset + k
-            offset += len(placed)
-        candidate = [0] * n
-        for v, out in enumerate(outs):
-            row = 0
-            for w in out:
-                row |= 1 << position[w]
-            candidate[position[v]] = row
-        tup = tuple(candidate)
-        if best is None or tup < best:
-            best = tup
+        placed = [v for block in combo for v in block]
+        for k, v in enumerate(placed):
+            image[v] = 1 << k
+        candidate = tuple(_union_rows(image, rows[v]) for v in placed)
+        if best is None or candidate < best:
+            best = candidate
     if best is None:
         raise StructureViolation("canonical form search tried no relabeling")
     return best

@@ -8,25 +8,32 @@ disjoint union of two.  ``find_isomorphism`` is the individualization–
 refinement scheme of McKay and Piperno ("Practical graph isomorphism, II",
 J. Symb. Comput. 2014): it gives one vertex of each graph a fresh colour
 and refines again after every assignment, so a branch that cannot extend
-dies as soon as the two colourings disagree.  The bitmask-row helpers it
-uses live in ``posets``.
+dies as soon as the two colourings disagree.  On a symmetric graph
+(comparability graphs, vertex-facet incidences) the in-neighbours are the
+out-neighbours, so refinement reads only the out-lists; the signatures sort
+as they would with both, and the colours come out the same.  The
+bitmask-row helpers it uses live in ``posets``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .posets import iter_bits
+from .posets import _union_rows, iter_bits
 
 
 def _adjacency(rows: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
-    """Out- and in-neighbour lists of a digraph, each in ascending order."""
+    """Out- and in-neighbour lists of a digraph, each in ascending order.
+
+    The in-lists are all empty when they equal the out-lists (a symmetric
+    graph), so refinement reads each neighbourhood once.
+    """
     outs = [list(iter_bits(row)) for row in rows]
     ins: list[list[int]] = [[] for _ in rows]
     for i, out in enumerate(outs):
         for j in out:
             ins[j].append(i)
-    return outs, ins
+    return outs, [[] for _ in rows] if ins == outs else ins
 
 
 def _refine(outs: list[list[int]], ins: list[list[int]], colors: Sequence,
@@ -115,12 +122,10 @@ def find_isomorphism(
             sizes[c] += 1
         branch = next((i for i in range(n) if sizes[c1[i]] > 1), None)
         if branch is None:
-            image = {c: j for j, c in enumerate(c2)}
-            mapping = tuple(image[c] for c in c1)
-            if all(
-                out2[mapping[i]] == sum(1 << mapping[k] for k in outs[i])
-                for i in range(n)
-            ):
+            target = {c: j for j, c in enumerate(c2)}
+            mapping = tuple(target[c] for c in c1)
+            image = [1 << j for j in mapping]
+            if all(out2[j] == _union_rows(image, row) for j, row in zip(mapping, out1)):
                 return mapping
             continue
         for j in reversed([j for j in range(n) if c2[j] == c1[branch]]):

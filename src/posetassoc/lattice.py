@@ -73,7 +73,6 @@ def face_lattice(P: Poset) -> FaceLattice:
     A tubing with one extra tube is one dimension lower and is covered by
     the smaller tubing.
     """
-    _require_usable(P)
     dim = P.n - 2
     cx = TubeComplex(P)
     keys = {c: tuple(sorted(cx.tubing(c))) for c in cx.walk()}
@@ -222,15 +221,12 @@ def quotient_with_map(
             proj[j] = len(class_masks)
         class_masks.append(block)
     labels = ["+".join(sorted(P.labels_of(mask))) for mask in class_masks]
-    m = len(class_masks)
-    rows = [0] * m
-    for a, mask_a in enumerate(class_masks):
-        above = _union_rows(P.up, mask_a)
-        for b, mask_b in enumerate(class_masks):
-            if a != b and above & mask_b:
-                rows[a] |= 1 << b
-    rows = _transitive_closure(rows)
-    for i in range(m):
+    image = [0 if c is None else 1 << c for c in proj]
+    rows = _transitive_closure([
+        _union_rows(image, _union_rows(P.up, mask)) & ~(1 << a)
+        for a, mask in enumerate(class_masks)
+    ])
+    for i in range(len(rows)):
         if rows[i] & (1 << i):
             raise QuotientNotPoset(
                 f"contracting within {{{', '.join(P.labels_of(tau_mask))}}}"

@@ -9,6 +9,11 @@ rows, bit j of row i set iff i relates to j.  The row helpers below
 of each for the package.  They run once per mask or candidate, so they are
 private: ``bench/tracer.py`` wraps public functions only, and a span per
 call would swamp the time of their callers.
+
+A relabelling is a union too.  With ``image[old]`` holding the new bit or
+bits of element ``old`` (0 to drop it), the image of a row is
+``_union_rows(image, row)``; restriction, substitution, quotients,
+canonical forms and the isomorphism check all re-index this one way.
 """
 
 from __future__ import annotations
@@ -90,7 +95,11 @@ def _is_transitive(rows: Sequence[int]) -> bool:
 
 
 def _union_rows(rows: Sequence[int], mask: int) -> int:
-    """The union of the rows indexed by the members of ``mask``."""
+    """The union of the rows indexed by the members of ``mask``.
+
+    With ``rows`` an image table (the new bits of each old index), this is
+    the package's one relabelling of a row.
+    """
     out = 0
     while mask:
         low = mask & -mask
@@ -218,16 +227,12 @@ class Poset:
 
     def restrict(self, subset: int | Iterable[int]) -> "Poset":
         """Induced subposet on a subset, keeping label and index order."""
-        mask = as_mask(subset)
-        kept = mask_members(mask)
-        pos = {old: new for new, old in enumerate(kept)}
-        rows = []
-        for old in kept:
-            row = 0
-            for j in iter_bits(self.up[old] & mask):
-                row |= 1 << pos[j]
-            rows.append(row)
-        return Poset(tuple(self.labels[i] for i in kept), rows)
+        kept = mask_members(as_mask(subset))
+        image = [0] * self.n
+        for new, old in enumerate(kept):
+            image[old] = 1 << new
+        return Poset(tuple(self.labels[i] for i in kept),
+                     [_union_rows(image, self.up[old]) for old in kept])
 
     # -- serialization ---------------------------------------------------
 
@@ -320,19 +325,12 @@ def complete_graded(parts: Sequence[int]) -> Poset:
         raise EmptyComposition("composition needs at least one part")
     if any(not isinstance(p, int) or p < 1 for p in parts):
         raise MalformedInput("composition parts must be integers >= 1")
-    labels = []
-    rank_of = []
+    n = sum(parts)
+    labels, rows, end = [], [], 0
     for i, size in enumerate(parts):
-        for j in range(size):
-            labels.append(f"x{i + 1}_{j + 1}")
-            rank_of.append(i)
-    n = len(labels)
-    above_rank = [0] * len(parts)
-    start = n
-    for i in range(len(parts) - 1, -1, -1):
-        above_rank[i] = ((1 << n) - 1) & ~((1 << start) - 1)
-        start -= parts[i]
-    rows = [above_rank[rank_of[i]] for i in range(n)]
+        end += size
+        labels += [f"x{i + 1}_{j + 1}" for j in range(size)]
+        rows += [((1 << n) - 1) >> end << end] * size
     return Poset(labels, rows)
 
 
@@ -375,24 +373,14 @@ def substitute(Q: Poset, a: str, S: Poset) -> Poset:
     if clash:
         raise LabelClash(f"labels shared by both posets: {sorted(clash)}")
     labels = [Q.labels[i] for i in rest] + list(S.labels)
-    n = len(labels)
-    pos_q = {old: new for new, old in enumerate(rest)}
-    s_offset = len(rest)
-    rows = [0] * n
-    for old_i in rest:
-        i = pos_q[old_i]
-        for old_j in iter_bits(Q.up[old_i] & ~(1 << a_idx)):
-            rows[i] |= 1 << pos_q[old_j]
-        if Q.up[old_i] & (1 << a_idx):
-            for k in range(S.n):
-                rows[i] |= 1 << (s_offset + k)
-    above_a = [pos_q[j] for j in iter_bits(Q.up[a_idx])]
-    for k in range(S.n):
-        i = s_offset + k
-        for m in iter_bits(S.up[k]):
-            rows[i] |= 1 << (s_offset + m)
-        for j in above_a:
-            rows[i] |= 1 << j
+    offset = len(rest)
+    image = [0] * Q.n
+    for new, old in enumerate(rest):
+        image[old] = 1 << new
+    image[a_idx] = ((1 << S.n) - 1) << offset  # a becomes all of S
+    rows = [_union_rows(image, Q.up[old]) for old in rest]
+    above_a = _union_rows(image, Q.up[a_idx])
+    rows += [row << offset | above_a for row in S.up]
     return Poset(labels, rows)
 
 

@@ -191,7 +191,6 @@ def enumerate_tubings(P: Poset) -> Iterator[Tubing]:
 
     The order of the rest is unspecified; callers sort or count.
     """
-    _require_usable(P)
     cx = TubeComplex(P)
     for chosen in cx.walk():
         yield cx.tubing(chosen)
@@ -203,7 +202,6 @@ def f_vector(P: Poset) -> tuple[int, ...]:
     Entry i counts tubings with d - i tubes where d = |P| - 2, so the last
     entry is always 1 (the empty tubing, the whole polytope).
     """
-    _require_usable(P)
     d = P.n - 2
     counts = [0] * (d + 1)
     for chosen in TubeComplex(P).walk():
@@ -222,7 +220,6 @@ def h_vector(f: Sequence[int]) -> tuple[int, ...]:
 
 def maximal_tubings(P: Poset) -> list[Tubing]:
     """All tubings with |P| - 2 tubes; these are the vertices."""
-    _require_usable(P)
     want = P.n - 2
     cx = TubeComplex(P)
     found = [cx.tubing(c) for c in cx.walk() if c.bit_count() == want]

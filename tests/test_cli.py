@@ -245,6 +245,15 @@ class TestMalformedInput:
         )
         assert code == 1 and data["error"] == "MalformedInput"
 
+    @pytest.mark.parametrize("verb", ["decompose", "flip-map"])
+    def test_tube_names_a_label_twice(self, capsys, tubing_file, verb):
+        # read as a set, the tube would be the valid tube {x1_1, x2_1}
+        code, data = invoke_json(
+            capsys, verb, "graded:1,2,2", "--subset", "x2_1,x2_2",
+            "--tubing", tubing_file([["x1_1", "x1_1", "x2_1"]]),
+        )
+        assert code == 1 and data["error"] == "MalformedInput"
+
     def test_deeply_nested_tubing_file(self, capsys, poset_file, tmp_path):
         path = tmp_path / "tubing.json"
         path.write_text('{"tubes": ' + "[" * 100_000 + "]" * 100_000 + "}")

@@ -310,3 +310,57 @@ class TestRelationRows:
         assert _reach(adj, 0b0001, 0b1011) == 0b0011
         assert _reach(adj, 0b1001, 0b1011) == 0b1011
         assert _reach(adj, 0, 0b1111) == 0
+
+
+class TestDerivedPosetPin:
+    """Exact labels and rows of every derived poset the theorem checks build."""
+
+    def test_restrict_substitute_quotient_graded_bytes(self):
+        import itertools
+        from hashlib import sha256
+
+        from posetassoc import (all_posets, connected_posets, enumerate_tubings,
+                                quotient_with_map)
+
+        digest = sha256()
+
+        def pin(*parts):
+            digest.update(repr(parts).encode() + b"\n")
+
+        for n in range(1, 6):
+            for P in all_posets(n):
+                for mask in range(P.full_mask + 1):
+                    R = P.restrict(mask)
+                    pin(R.labels, R.up)
+        inserts = [Poset([f"s{i + 1}" for i in range(S.n)], S.up)
+                   for n in range(1, 4) for S in all_posets(n)]
+        for n in range(1, 5):
+            for Q in connected_posets(n):
+                for label in Q.labels:
+                    for S in inserts:
+                        R = substitute(Q, label, S)
+                        pin(R.labels, R.up)
+        for P in corpus(5):
+            for tubing in sorted(enumerate_tubings(P), key=sorted):
+                regions = sorted(tubing, key=lambda t: (t.bit_count(), mask_members(t)))
+                for tau in regions + [P.full_mask]:
+                    inside = [s for s in tubing if s != tau and s & ~tau == 0]
+                    maximal = sorted(
+                        s for s in inside
+                        if not any(s != t and s & ~t == 0 for t in inside)
+                    )
+                    R, proj = quotient_with_map(P, tau, maximal)
+                    pin(R.labels, R.up, proj)
+        for n in range(1, 9):
+            for cuts in itertools.product((0, 1), repeat=n - 1):
+                parts, size = [], 1
+                for cut in cuts:
+                    if cut:
+                        parts.append(size)
+                        size = 0
+                    size += 1
+                R = complete_graded(parts + [size])
+                pin(R.labels, R.up)
+        assert digest.hexdigest() == (
+            "3dfe6797917bc39fc93e7c71ee5ddef05de15ef88b3f0815593918c4dbf71354"
+        )
