@@ -8,7 +8,10 @@ rows, bit j of row i set iff i relates to j.  The row helpers below
 (transpose, closure, transitivity, unions, reachability) are the one copy
 of each for the package.  They run once per mask or candidate, so they are
 private: ``bench/tracer.py`` wraps public functions only, and a span per
-call would swamp the time of their callers.
+call would swamp the time of their callers.  ``iter_bits`` and
+``_union_rows`` are the only loops over the set bits of a mask: the
+transitivity test is a row union per row, and reachability repeats a
+row union until nothing new is added.
 
 A relabelling is a union too.  With ``image[old]`` holding the new bit or
 bits of element ``old`` (0 to drop it), the image of a row is
@@ -78,19 +81,10 @@ def _transitive_closure(rows: Sequence[int]) -> list[int]:
 
 
 def _is_transitive(rows: Sequence[int]) -> bool:
-    """Whether every row contains the rows of its members.
-
-    An explicit low-bit loop with an early exit: ``Poset.__init__`` calls
-    this on every parse, flip and restriction, so it stays free of
-    generators.
-    """
+    """Whether every row contains the rows of its members."""
     for row in rows:
-        rest = row
-        while rest:
-            low = rest & -rest
-            if rows[low.bit_length() - 1] & ~row:
-                return False
-            rest ^= low
+        if _union_rows(rows, row) & ~row:
+            return False
     return True
 
 
@@ -385,8 +379,13 @@ def substitute(Q: Poset, a: str, S: Poset) -> Poset:
 
 
 def is_autonomous(P: Poset, subset: int | Iterable[int]) -> bool:
-    """True iff every outside element sees all members of the subset alike."""
+    """True iff every outside element sees all members of the subset alike.
+
+    A mask naming an element outside the poset is not autonomous.
+    """
     mask = as_mask(subset)
+    if mask & ~P.full_mask:
+        return False
     rest = mask & (mask - 1)
     if not rest:
         return True
@@ -402,6 +401,8 @@ def is_autonomous(P: Poset, subset: int | Iterable[int]) -> bool:
 
 def _require_autonomous(P: Poset, mask: int) -> None:
     if not is_autonomous(P, mask):
+        if mask & ~P.full_mask:
+            raise ElementNotFound(f"subset {mask:#b} names an element outside the poset")
         raise NotAutonomous(
             f"subset {{{', '.join(P.labels_of(mask))}}} is not autonomous"
         )

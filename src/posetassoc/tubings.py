@@ -11,7 +11,9 @@ compatibility bitset and a disjoint-edge bitset over tube indices, so a
 tubing is a bitset over tube indices too.  Tubings are walked with an
 explicit stack of (chosen, candidates) bitsets; a candidate can only close
 a cycle through itself, so acyclicity is checked incrementally by one
-reachability search from the candidate inside the chosen tubes.
+``_reach`` from the candidate's successors inside the chosen tubes.  The
+walk's descending loop over candidates is the only other loop over the
+set bits of a mask in the package, because its order defines the walk.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def _require_usable(P: Poset) -> None:
 
 def _tube_upset(P: Poset, mask: int) -> int | None:
     """The strict upset of ``mask`` if it is a proper tube, else None."""
-    if mask.bit_count() < 2 or mask == P.full_mask:
+    if mask.bit_count() < 2 or mask == P.full_mask or mask & ~P.full_mask:
         return None
     above = _union_rows(P.up, mask)
     below = _union_rows(P.down, mask)
@@ -96,19 +98,7 @@ def _disjoint_edges(tubes: Sequence[int], upsets: Sequence[int]) -> list[int]:
 def _closes_cycle(edges: Sequence[int], node: int, within: int) -> bool:
     """Whether a path from ``node`` through the bitset ``within`` returns to it."""
     home = 1 << node
-    allowed = within | home
-    seen = frontier = edges[node] & allowed
-    while frontier:
-        if frontier & home:
-            return True
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= edges[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & allowed & ~seen
-        seen |= frontier
-    return False
+    return bool(_reach(edges, edges[node] & (within | home), within | home) & home)
 
 
 def tube_digraph(P: Poset, tubes: Iterable[int]) -> dict[int, tuple[int, ...]]:

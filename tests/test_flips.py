@@ -67,6 +67,11 @@ class TestClassify:
         with pytest.raises(NotATubing):
             classify_tubes(P, S, [P.mask_of(["a", "s1"]), P.mask_of(["s1", "s2"])])
 
+    @pytest.mark.parametrize("tube", [0b11000, 0b1001, -3])
+    def test_tube_outside_the_poset(self, tube):
+        with pytest.raises(NotATubing):
+            classify_tubes(chain(3), 0b11, [tube])
+
     def test_partition_is_exhaustive(self, connected_upto_5):
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))

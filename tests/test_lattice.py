@@ -235,6 +235,11 @@ class TestFaceProducts:
         with pytest.raises(NotATubing):
             face_product_decomposition(P, [P.mask_of(["a", "c"])])
 
+    @pytest.mark.parametrize("tube", [0b11000, 0b1001, -3])
+    def test_rejects_tube_outside_the_poset(self, tube):
+        with pytest.raises(NotATubing):
+            face_product_decomposition(chain(3), [tube])
+
     def test_product_of_factor_polynomials_is_face_census(self, connected_upto_5):
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 
+import networkx as nx
 import pytest
 
 from posetassoc import (
@@ -221,6 +223,13 @@ class TestAutonomy:
                 members = frozenset(mask_members(mask))
                 assert is_autonomous(P, mask) == oracle_autonomous(P, members)
 
+    @pytest.mark.parametrize("n, mask", [(3, 0b1000), (3, 0b11000), (2, 0b111), (3, -3)])
+    def test_mask_outside_the_poset(self, n, mask):
+        P = chain(n)
+        assert not is_autonomous(P, mask)
+        with pytest.raises(ElementNotFound):
+            flip(P, mask)
+
 
 class TestFlip:
     def test_antichain_subset_is_noop(self):
@@ -297,6 +306,27 @@ class TestRelationRows:
             assert tuple(_transitive_closure(P.covers_up)) == P.up
             assert _is_transitive(P.up)
             assert _is_transitive(P.covers_up) == (P.covers_up == P.up)
+
+    def test_is_transitive_matches_networkx(self):
+        # a relation is transitive iff it equals its transitive closure;
+        # networkx marks the diagonal of exactly the vertices on a cycle
+        rng = random.Random(11)
+        transitive = 0
+        for trial in range(2000):
+            n = rng.randint(0, 8)
+            density = rng.random()
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from((i, j) for i in range(n) for j in range(n)
+                                 if rng.random() < density)
+            closed = nx.transitive_closure(graph, reflexive=False)
+            if trial % 2:
+                graph = closed
+            rows = [sum(1 << j for j in graph.successors(i)) for i in range(n)]
+            expected = set(graph.edges) == set(closed.edges)
+            assert _is_transitive(rows) == expected
+            transitive += expected
+        assert 1000 <= transitive < 2000
 
     def test_closure_marks_a_cycle_on_the_diagonal(self):
         rows = _transitive_closure([0b010, 0b100, 0b001])

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 
+import networkx as nx
 import pytest
 
 from posetassoc import (
@@ -24,8 +27,15 @@ from posetassoc import (
     tubing_to_labels,
 )
 from posetassoc.posets import mask_members
+from posetassoc.tubings import _closes_cycle
 
-from conftest import masks_to_sets, oracle_count_tubings, oracle_tubes
+from conftest import (
+    corpus,
+    masks_to_sets,
+    oracle_count_tubings,
+    oracle_is_tubing,
+    oracle_tubes,
+)
 
 
 class TestProperTube:
@@ -45,6 +55,12 @@ class TestProperTube:
         P = chain(3)
         assert not is_proper_tube(P, {0})
         assert not is_proper_tube(P, P.full_mask)
+
+    @pytest.mark.parametrize("mask", [0b11000, 0b1001, -3, -1])
+    def test_mask_outside_the_poset(self, mask):
+        P = chain(3)
+        assert not is_proper_tube(P, mask)
+        assert not is_proper_tubing(P, [mask])
 
 
 class TestEnumerateTubes:
@@ -113,6 +129,80 @@ class TestProperTubing:
         P = complete_graded((2, 2))
         tubes = [P.mask_of(["x1_1", "x2_1"]), P.mask_of(["x1_2", "x2_2"])]
         assert not is_proper_tubing(P, tubes)
+
+
+class TestClosesCycle:
+    def test_matches_networkx(self):
+        # a cycle through node inside within | node is an edge out of node
+        # to a successor that reaches node again
+        rng = random.Random(12)
+        cycles = 0
+        for _ in range(2000):
+            n = rng.randint(1, 10)
+            density = rng.random()
+            edges = [sum(1 << j for j in range(n) if j != i and rng.random() < density)
+                     for i in range(n)]
+            node = rng.randrange(n)
+            within = rng.getrandbits(n)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(mask_members(within | 1 << node))
+            graph.add_edges_from((i, j) for i in graph for j in mask_members(edges[i])
+                                 if j in graph)
+            expected = any(nx.has_path(graph, succ, node)
+                           for succ in graph.successors(node))
+            assert _closes_cycle(edges, node, within) == expected
+            cycles += expected
+        assert 0 < cycles < 2000
+
+
+class TestProperTubingAgainstOracle:
+    """``is_proper_tubing`` against ``oracle_is_tubing`` on proper and improper families."""
+
+    @staticmethod
+    def agrees(P, family):
+        expected = oracle_is_tubing(P, [frozenset(mask_members(t)) for t in family])
+        assert is_proper_tubing(P, family) == expected
+        return expected
+
+    def test_small_families_with_non_tubes(self):
+        rng = random.Random(13)
+        proper = total = 0
+        for P in corpus(5):
+            tubes = enumerate_tubes(P)
+            others = sorted(set(range(1, P.full_mask + 1)) - set(tubes))
+            pool = tubes + rng.sample(others, min(3, len(others)))
+            families = [family for size in range(4 if P.n <= 4 else 3)
+                        for family in itertools.combinations(pool, size)]
+            if P.n == 5:
+                families += [rng.sample(tubes, rng.randint(3, 4)) for _ in range(80)]
+            for family in families:
+                proper += self.agrees(P, list(family))
+                total += 1
+        assert 0 < proper < total
+
+    def test_three_disjoint_tubes(self):
+        # three disjoint tubes can form a directed 3-cycle whose pairs are
+        # all proper tubings; only a reach over two steps rejects the triple
+        proper = total = pure_three_cycles = 0
+        for P in corpus(6, 6):
+            tubes = enumerate_tubes(P)
+            for family in itertools.combinations(tubes, 3):
+                if any(a & b for a, b in itertools.combinations(family, 2)):
+                    continue
+                is_proper = self.agrees(P, list(family))
+                proper += is_proper
+                total += 1
+                pairs_proper = all(is_proper_tubing(P, pair)
+                                   for pair in itertools.combinations(family, 2))
+                pure_three_cycles += pairs_proper and not is_proper
+        assert 0 < proper < total
+        assert pure_three_cycles >= 1
+
+    def test_repeated_tube(self):
+        P = chain(4)
+        t = P.mask_of(["a", "b"])
+        assert is_proper_tubing(P, [t])
+        assert not is_proper_tubing(P, [t, t])
 
 
 class TestEnumerateTubings:
