@@ -57,47 +57,46 @@ def _depth(text: str) -> int:
     return value
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {what} file {path!r}: {exc.strerror}") from None
+
+
 def _load_poset(source: str | None, graded: str | None,
-                parser: argparse.ArgumentParser) -> Poset:
+                parser: argparse.ArgumentParser, force: bool | None = None) -> Poset:
+    """The poset a source names; unless ``force`` is None, refuse one above SIZE_GUARD.
+
+    A graded source is sized from its parts before it is built.
+    """
     if (source is None) == (graded is None):
         parser.error("provide exactly one poset source (a file/graded: source or --graded)")
-    if graded is not None:
-        return complete_graded(_parse_parts(graded, parser, "--graded"))
-    assert source is not None
-    if source.startswith("graded:"):
-        return complete_graded(_parse_parts(source[len("graded:"):], parser, "graded:"))
-    try:
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise MalformedInput(f"cannot read poset file {source!r}: {exc.strerror}") from None
-    return parse_poset(text)
+    if graded is None and not source.startswith("graded:"):
+        P = parse_poset(_read(source, "poset"))
+        if force is not None:
+            _guard_size(P.n, force)
+        return P
+    if graded is None:
+        parts = _parse_parts(source[len("graded:"):], parser, "graded:")
+    else:
+        parts = _parse_parts(graded, parser, "--graded")
+    if force is not None and min(parts) >= 1:
+        _guard_size(sum(parts), force)
+    return complete_graded(parts)
 
 
 def _load_tubing(P: Poset, path: str):
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read tubing file {path!r}: {exc.strerror}") from None
+        data = json.loads(_read(path, "tubing"))
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"tubing file is not valid JSON: {exc}") from None
     except RecursionError:
         raise MalformedInput("tubing file nests JSON too deeply") from None
     if not isinstance(data, dict) or "tubes" not in data:
         raise MalformedInput('tubing file must be an object with a "tubes" key')
-    tubes = data["tubes"]
-    if not isinstance(tubes, list) or not all(
-        isinstance(tube, list) and all(isinstance(x, str) for x in tube)
-        for tube in tubes
-    ):
-        raise MalformedInput('"tubes" must be a list of lists of element labels')
-    if any(len(set(tube)) != len(tube) for tube in tubes):
-        raise MalformedInput("a tube in the tubing file names a label twice")
-    tubing = tubing_from_labels(P, tubes)
-    if len(tubing) != len(tubes):
-        raise MalformedInput("tubing file lists the same tube twice")
-    return tubing
+    return tubing_from_labels(P, data["tubes"])
 
 
 def _guard_size(n: int, force: bool, subject: str = "{n} elements exceed") -> None:
@@ -148,7 +147,7 @@ def _cmd_tubes(P: Poset, args, parser) -> tuple[dict, list]:
 
 def _cmd_tubings(P: Poset, args, parser) -> tuple[dict, list]:
     if args.count_only:
-        count = sum(1 for _ in enumerate_tubings(P))
+        count = sum(f_vector(P))
         return {"count": count}, [["count", count]]
     tubings = sorted(
         (tubing_to_labels(P, t) for t in enumerate_tubings(P)),
@@ -229,9 +228,7 @@ def _cmd_equiv(P: Poset, args, parser) -> tuple[dict, list]:
                     "permutohedron on {n} letters exceeds")
         other = permutohedron_lattice(args.permutohedron)
     else:
-        second = _load_poset(args.other, None, parser)
-        _guard_size(second.n, args.force)
-        other = face_lattice(second)
+        other = face_lattice(_load_poset(args.other, None, parser, args.force))
     equivalent = lattices_equivalent(face_lattice(P), other)
     return {"equivalent": equivalent}, [["equivalent", str(equivalent).lower()]]
 
@@ -260,17 +257,6 @@ def _cmd_flip_seq(P: Poset, args, parser) -> tuple[dict, list]:
     return payload, rows
 
 
-def _add_poset_source(sub: argparse.ArgumentParser, *, force: bool = False) -> None:
-    """With ``force``, ``run`` refuses a poset above SIZE_GUARD without --force."""
-    sub.add_argument("poset", nargs="?", help="poset JSON file or graded:<parts>")
-    sub.add_argument("--graded", help="comma-separated antichain sizes")
-    if force:
-        sub.add_argument(
-            "--force", action="store_true",
-            help=f"enumerate even past {SIZE_GUARD} elements",
-        )
-
-
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by every run."""
@@ -281,62 +267,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    sub = verbs.add_parser("fvector", help="face counts by dimension")
-    _add_poset_source(sub, force=True)
-    sub.set_defaults(handler=_cmd_fvector)
+    def verb(name: str, help: str, handler, guarded: bool = False) -> argparse.ArgumentParser:
+        """A verb taking one poset source; a guarded one refuses big posets without --force."""
+        sub = verbs.add_parser(name, help=help)
+        sub.add_argument("poset", nargs="?", help="poset JSON file or graded:<parts>")
+        sub.add_argument("--graded", help="comma-separated antichain sizes")
+        if guarded:
+            sub.add_argument(
+                "--force", action="store_true",
+                help=f"enumerate even past {SIZE_GUARD} elements",
+            )
+        sub.set_defaults(handler=handler)
+        return sub
 
-    sub = verbs.add_parser("hvector", help="f-polynomial shifted by z - 1")
-    _add_poset_source(sub, force=True)
-    sub.set_defaults(handler=_cmd_hvector)
-
-    sub = verbs.add_parser("tubes", help="all proper tubes")
-    _add_poset_source(sub)
-    sub.set_defaults(handler=_cmd_tubes)
-
-    sub = verbs.add_parser("tubings", help="all proper tubings")
-    _add_poset_source(sub, force=True)
+    verb("fvector", "face counts by dimension", _cmd_fvector, guarded=True)
+    verb("hvector", "f-polynomial shifted by z - 1", _cmd_hvector, guarded=True)
+    verb("tubes", "all proper tubes", _cmd_tubes)
+    sub = verb("tubings", "all proper tubings", _cmd_tubings, guarded=True)
     sub.add_argument("--count-only", action="store_true")
-    sub.set_defaults(handler=_cmd_tubings)
-
-    sub = verbs.add_parser("maximal", help="tubings of maximal size (vertices)")
-    _add_poset_source(sub, force=True)
-    sub.set_defaults(handler=_cmd_maximal)
-
-    sub = verbs.add_parser("decompose", help="decompose a tubing's bad tubes")
-    _add_poset_source(sub)
-    sub.add_argument("--subset", required=True, help="comma-separated labels")
-    sub.add_argument("--tubing", required=True, help="tubing JSON file")
-    sub.set_defaults(handler=_cmd_decompose)
-
-    sub = verbs.add_parser("flip-map", help="carry a tubing across a flip")
-    _add_poset_source(sub)
-    sub.add_argument("--subset", required=True, help="comma-separated labels")
-    sub.add_argument("--tubing", required=True, help="tubing JSON file")
-    sub.set_defaults(handler=_cmd_flip_map)
-
-    sub = verbs.add_parser(
-        "check-invariance",
-        help="verify f-vector preservation and flip-map round trips",
-    )
-    _add_poset_source(sub, force=True)
-    sub.set_defaults(handler=_cmd_check_invariance)
-
-    sub = verbs.add_parser("equiv", help="combinatorial equivalence of face lattices")
-    _add_poset_source(sub, force=True)
+    verb("maximal", "tubings of maximal size (vertices)", _cmd_maximal, guarded=True)
+    for name, help, handler in (
+        ("decompose", "decompose a tubing's bad tubes", _cmd_decompose),
+        ("flip-map", "carry a tubing across a flip", _cmd_flip_map),
+    ):
+        sub = verb(name, help, handler)
+        sub.add_argument("--subset", required=True, help="comma-separated labels")
+        sub.add_argument("--tubing", required=True, help="tubing JSON file")
+    verb("check-invariance", "verify f-vector preservation and flip-map round trips",
+         _cmd_check_invariance, guarded=True)
+    sub = verb("equiv", "combinatorial equivalence of face lattices", _cmd_equiv,
+               guarded=True)
     sub.add_argument("other", nargs="?", help="second poset source")
     sub.add_argument("--permutohedron", type=int, metavar="N",
                      help="compare against the permutohedron on N letters")
-    sub.set_defaults(handler=_cmd_equiv)
-
-    sub = verbs.add_parser("polygons", help="vertex counts of 2-dimensional faces")
-    _add_poset_source(sub, force=True)
-    sub.set_defaults(handler=_cmd_polygons)
-
-    sub = verbs.add_parser("flip-seq", help="search a flip sequence between two posets")
-    _add_poset_source(sub)
+    verb("polygons", "vertex counts of 2-dimensional faces", _cmd_polygons, guarded=True)
+    sub = verb("flip-seq", "search a flip sequence between two posets", _cmd_flip_seq)
     sub.add_argument("other", help="second poset source")
     sub.add_argument("--max-depth", type=_depth, default=8)
-    sub.set_defaults(handler=_cmd_flip_seq)
 
     return parser
 
@@ -345,9 +312,7 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        P = _load_poset(args.poset, args.graded, parser)
-        if "force" in args:
-            _guard_size(P.n, args.force)
+        P = _load_poset(args.poset, args.graded, parser, getattr(args, "force", None))
         payload, rows = args.handler(P, args, parser)
     except DomainError as exc:
         sys.stdout.write(

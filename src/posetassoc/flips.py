@@ -284,11 +284,14 @@ def flip_tubing(
 
 
 def is_weakly_increasing(P: Poset, blocks: Iterable[int]) -> bool:
-    """No element of a later block lies strictly below one of an earlier block."""
+    """No element of a later block lies strictly below one of an earlier block.
+
+    Blocks naming an element outside the poset are not weakly increasing.
+    """
     earlier = 0
     for block in blocks:
         mask = as_mask(block)
-        if _union_rows(P.up, mask) & earlier:
+        if mask & ~P.full_mask or _union_rows(P.up, mask) & earlier:
             return False
         earlier |= mask
     return True

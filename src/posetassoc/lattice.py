@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 from .errors import MalformedInput, NotATubing, QuotientNotPoset, TooSmall
 from .isomorphism import find_isomorphism
-from .posets import (Poset, _transitive_closure, _union_rows, as_mask, iter_bits,
-                     mask_members)
+from .posets import (Poset, _require_inside, _transitive_closure, _union_rows, as_mask,
+                     iter_bits, mask_members)
 from .tubings import TubeComplex, _require_usable, is_proper_tubing
 
 
@@ -201,13 +201,14 @@ def quotient_with_map(
     Returns the quotient poset (order projected and transitively closed)
     and the index map from P's elements to quotient elements, None outside
     tau.  Contracted elements are labeled by their sorted member labels
-    joined with "+".  Raises QuotientNotPoset if projecting creates a cycle.
+    joined with "+".  Raises ElementNotFound if tau or a block names an
+    element outside P, and QuotientNotPoset if projecting creates a cycle.
     """
-    tau_mask = as_mask(tau)
+    tau_mask = _require_inside(P, as_mask(tau))
     class_masks: list[int] = []
     placed = 0
     for block in blocks:
-        if block & ~tau_mask:
+        if _require_inside(P, block) & ~tau_mask:
             raise ValueError("blocks must lie inside tau")
         if block & placed:
             raise ValueError("blocks must be disjoint")

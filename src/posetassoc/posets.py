@@ -49,6 +49,8 @@ def as_mask(subset: int | Iterable[int]) -> int:
 
 def mask_members(mask: int) -> tuple[int, ...]:
     """Indices contained in a bitmask, ascending."""
+    if mask < 0:
+        raise MalformedInput(f"a mask must be a non-negative int, got {mask}")
     return tuple(iter_bits(mask))
 
 
@@ -220,8 +222,11 @@ class Poset:
         return as_mask(self.index(lab) for lab in labels)
 
     def restrict(self, subset: int | Iterable[int]) -> "Poset":
-        """Induced subposet on a subset, keeping label and index order."""
-        kept = mask_members(as_mask(subset))
+        """Induced subposet on a subset, keeping label and index order.
+
+        A subset naming an element outside the poset raises ElementNotFound.
+        """
+        kept = mask_members(_require_inside(self, as_mask(subset)))
         image = [0] * self.n
         for new, old in enumerate(kept):
             image[old] = 1 << new
@@ -399,10 +404,15 @@ def is_autonomous(P: Poset, subset: int | Iterable[int]) -> bool:
     return True
 
 
+def _require_inside(P: Poset, mask: int) -> int:
+    """``mask``, unless it names an element outside the poset."""
+    if mask & ~P.full_mask:
+        raise ElementNotFound(f"subset {mask:#b} names an element outside the poset")
+    return mask
+
+
 def _require_autonomous(P: Poset, mask: int) -> None:
-    if not is_autonomous(P, mask):
-        if mask & ~P.full_mask:
-            raise ElementNotFound(f"subset {mask:#b} names an element outside the poset")
+    if not is_autonomous(P, _require_inside(P, mask)):
         raise NotAutonomous(
             f"subset {{{', '.join(P.labels_of(mask))}}} is not autonomous"
         )

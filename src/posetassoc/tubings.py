@@ -21,8 +21,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DisconnectedPoset, TooSmall, UnknownElement
-from .posets import Poset, _reach, _union_rows, as_mask, iter_bits, mask_members
+from .errors import DisconnectedPoset, MalformedInput, TooSmall
+from .posets import (Poset, _reach, _require_inside, _union_rows, as_mask, iter_bits,
+                     mask_members)
 
 Tubing = frozenset[int]
 
@@ -106,8 +107,9 @@ def tube_digraph(P: Poset, tubes: Iterable[int]) -> dict[int, tuple[int, ...]]:
 
     There is an edge from one tube to another exactly when they are disjoint
     and the first contains an element strictly below one of the second's.
+    A tube naming an element outside the poset raises ElementNotFound.
     """
-    tubes = list(tubes)
+    tubes = [_require_inside(P, t) for t in tubes]
     edges = _disjoint_edges(tubes, [_union_rows(P.up, t) for t in tubes])
     return {s: tuple(tubes[j] for j in iter_bits(row)) for s, row in zip(tubes, edges)}
 
@@ -227,12 +229,21 @@ def tubing_to_labels(P: Poset, tubing: Iterable[int]) -> list[list[str]]:
     return tubes
 
 
-def tubing_from_labels(P: Poset, tubes: Iterable[Iterable[str]]) -> Tubing:
-    """Inverse of tubing_to_labels; unknown labels raise, validity is not checked."""
-    out = set()
-    for tube in tubes:
-        labs = list(tube)
-        if not all(isinstance(x, str) for x in labs):
-            raise UnknownElement(f"tube {labs!r} must contain element labels")
-        out.add(P.mask_of(labs))
-    return frozenset(out)
+def tubing_from_labels(P: Poset, tubes: Sequence[Sequence[str]]) -> Tubing:
+    """Inverse of tubing_to_labels; the schema is checked, tubing validity is not.
+
+    ``tubes`` is a list or tuple of tubes, each a list or tuple of label
+    strings; no tube may be listed twice or name a label twice.  A schema
+    breach is ``MalformedInput``, an unknown label ``ElementNotFound``.
+    """
+    if not isinstance(tubes, (list, tuple)) or not all(
+        isinstance(tube, (list, tuple)) and all(isinstance(x, str) for x in tube)
+        for tube in tubes
+    ):
+        raise MalformedInput('"tubes" must be a list of lists of element labels')
+    if any(len(set(tube)) != len(tube) for tube in tubes):
+        raise MalformedInput("a tube in the tubing file names a label twice")
+    tubing = frozenset(P.mask_of(tube) for tube in tubes)
+    if len(tubing) != len(tubes):
+        raise MalformedInput("tubing file lists the same tube twice")
+    return tubing

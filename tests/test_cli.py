@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import posetassoc
 from posetassoc import chain, complete_graded
-from posetassoc.cli import run
+from posetassoc.cli import SIZE_GUARD, run
 
 
 def invoke(capsys, *argv):
@@ -414,6 +414,50 @@ class TestSizeGuard:
             run([*argv, "--force"])
         assert err.value.code == 2
         assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+
+class GradedBuilt(Exception):
+    """complete_graded was asked for a poset above the guard."""
+
+
+class TestGuardBeforeBuild:
+    """A graded source above the guard is refused before the poset is built."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_big_builds(self, monkeypatch):
+        def build(parts):
+            if min(parts) >= 1 and sum(parts) > SIZE_GUARD:
+                raise GradedBuilt(parts)
+            return complete_graded(parts)
+
+        monkeypatch.setattr("posetassoc.cli.complete_graded", build)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fvector", "graded:6,7"], "13 elements exceed"),
+            (["equiv", "graded:2,2", "graded:6,7"], "13 elements exceed"),
+            (["tubings", "--graded", "7,7"], "14 elements exceed"),
+            (["fvector", "graded:8000,8000"], "16000 elements exceed"),
+        ],
+    )
+    def test_refused_unbuilt(self, capsys, argv, message):
+        code, data = invoke_json(capsys, *argv)
+        assert code == 1
+        assert data == {
+            "schema_version": 1,
+            "error": "PosetTooLarge",
+            "message": message + GUARD_TAIL,
+        }
+
+    def test_force_still_builds(self):
+        with pytest.raises(GradedBuilt):
+            run(["fvector", "graded:6,7", "--force"])
+
+    @pytest.mark.parametrize("parts", ["-5,30", "0,20"])
+    def test_nonpositive_part_is_not_too_large(self, capsys, parts):
+        code, data = invoke_json(capsys, "fvector", f"graded:{parts}")
+        assert code == 1 and data["error"] == "MalformedInput"
 
 
 class TestUsage:

@@ -274,6 +274,11 @@ class TestWeaklyIncreasing:
         assert is_weakly_increasing(P, [a, b])
         assert is_weakly_increasing(P, [b, a])
 
+    @pytest.mark.parametrize("block", [0b11000, 0b1001, -3, -1])
+    def test_block_outside_the_poset(self, block):
+        assert not is_weakly_increasing(chain(3), [block])
+        assert not is_weakly_increasing(chain(3), [0b1, block])
+
 
 class TestSerialization:
     def test_roundtrip_with_remainder_inference(self, three_chain):

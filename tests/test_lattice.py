@@ -8,6 +8,7 @@ from functools import lru_cache
 import pytest
 
 from posetassoc import (
+    ElementNotFound,
     NotATubing,
     Poset,
     QuotientNotPoset,
@@ -262,6 +263,14 @@ class TestQuotient:
         P = chain(3)
         with pytest.raises(QuotientNotPoset):
             quotient_with_map(P, P.full_mask, [P.mask_of(["a", "c"])])
+
+    @pytest.mark.parametrize(
+        "tau, blocks",
+        [(0b11000, []), (-1, []), (0b111, [0b1000]), (0b111, [-3]), (0b111, [0b11, 0b1100])],
+    )
+    def test_mask_outside_the_poset(self, tau, blocks):
+        with pytest.raises(ElementNotFound):
+            quotient_with_map(chain(3), tau, blocks)
 
 
 def project_tubing(proj, tubes):

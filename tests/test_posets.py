@@ -230,6 +230,16 @@ class TestAutonomy:
         with pytest.raises(ElementNotFound):
             flip(P, mask)
 
+    @pytest.mark.parametrize("mask", [0b1000, 0b11000, -3, -1])
+    def test_restrict_outside_the_poset(self, mask):
+        # a negative mask has infinitely many set bits
+        with pytest.raises(ElementNotFound):
+            chain(3).restrict(mask)
+
+    def test_mask_members_rejects_a_negative_mask(self):
+        with pytest.raises(MalformedInput):
+            mask_members(-1)
+
 
 class TestFlip:
     def test_antichain_subset_is_noop(self):

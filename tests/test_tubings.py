@@ -11,6 +11,8 @@ import pytest
 
 from posetassoc import (
     DisconnectedPoset,
+    ElementNotFound,
+    MalformedInput,
     TooSmall,
     antichain,
     chain,
@@ -115,6 +117,11 @@ class TestTubeDigraph:
         b = P.mask_of(["x1_2", "x2_2"])
         graph = tube_digraph(P, [a, b])
         assert graph[a] == (b,) and graph[b] == (a,)
+
+    @pytest.mark.parametrize("tube", [0b11000, -3, -1])
+    def test_tube_outside_the_poset(self, tube):
+        with pytest.raises(ElementNotFound):
+            tube_digraph(chain(3), [tube, 0b11])
 
 
 class TestProperTubing:
@@ -344,6 +351,31 @@ class TestSerialization:
             for T in enumerate_tubings(P):
                 labels = tubing_to_labels(P, T)
                 assert tubing_from_labels(P, labels) == T
+
+    def test_tuples_round_trip(self):
+        P = chain(4)
+        T = frozenset([P.mask_of(["a", "b"]), P.mask_of(["a", "b", "c"])])
+        labels = tuple(tuple(tube) for tube in tubing_to_labels(P, T))
+        assert tubing_from_labels(P, labels) == T
+
+    @pytest.mark.parametrize(
+        "tubes",
+        [
+            ["ab"],  # a string is not a list of labels
+            [["a", "a", "b"]],  # a label named twice
+            [["a", "b"], ["b", "a"]],  # the same tube twice
+            "ab",  # not a list of tubes
+            [[1]],  # not a label
+            {("a", "b")},  # a set has no order to keep
+        ],
+    )
+    def test_schema(self, tubes):
+        with pytest.raises(MalformedInput):
+            tubing_from_labels(chain(3), tubes)
+
+    def test_unknown_label(self):
+        with pytest.raises(ElementNotFound):
+            tubing_from_labels(chain(3), [["a", "z"]])
 
     def test_sorted_output(self):
         P = chain(4)
