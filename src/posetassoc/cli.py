@@ -63,6 +63,8 @@ def _read(path: str, what: str) -> str:
             return handle.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {what} file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise MalformedInput(f"cannot read {what} file {path!r}: not valid UTF-8") from None
 
 
 def _load_poset(source: str | None, graded: str | None,

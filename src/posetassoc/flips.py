@@ -21,7 +21,7 @@ from .errors import (
     NotATubing,
     StructureViolation,
 )
-from .posets import Poset, _require_autonomous, _union_rows, as_mask, flip
+from .posets import Poset, _require_autonomous, _require_inside, _union_rows, as_mask, flip
 from .tubings import Tubing, is_proper_tubing
 
 
@@ -208,7 +208,7 @@ def decompose(
     way; its blocks are consumed from the far end.  Subset elements touched
     by no bad tube form one middle block, dropped when empty.
     """
-    s_mask = as_mask(subset)
+    s_mask = _require_inside(P, as_mask(subset))
     lower_seq, lower_blocks = _decorate(s_mask, classification.lower)
     upper_seq, upper_blocks = _decorate(s_mask, classification.upper)
     touched = 0

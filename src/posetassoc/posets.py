@@ -17,6 +17,9 @@ A relabelling is a union too.  With ``image[old]`` holding the new bit or
 bits of element ``old`` (0 to drop it), the image of a row is
 ``_union_rows(image, row)``; restriction, substitution, quotients,
 canonical forms and the isomorphism check all re-index this one way.
+Restriction (``_restrict_rows``) and the contraction of one convex set
+(``_contract_rows``, a restriction after merging the set's rows) work on
+bare rows, so the f-vector recursion relabels without building posets.
 """
 
 from __future__ import annotations
@@ -104,6 +107,39 @@ def _union_rows(rows: Sequence[int], mask: int) -> int:
     return out
 
 
+def _restrict_rows(rows: Sequence[int], kept: int) -> tuple[int, ...]:
+    """The induced relation on ``kept``, in index order."""
+    members = tuple(iter_bits(kept))
+    image = [0] * len(rows)
+    for new, old in enumerate(members):
+        image[old] = 1 << new
+    return tuple([_union_rows(image, rows[old] & kept) for old in members])
+
+
+def _contract_rows(rows: Sequence[int], convex: int) -> tuple[int, ...]:
+    """The order with the convex set ``convex`` contracted to one element.
+
+    The set's lowest member stands for the set and the others are dropped.
+    Convexity makes the set's strict upset closed and creates no cycle, so
+    every element below the set gains that upset and the result is closed.
+    """
+    low = convex & -convex
+    above = _union_rows(rows, convex) & ~convex
+    merged = [row | low | above if row & convex else row for row in rows]
+    merged[low.bit_length() - 1] = above
+    return _restrict_rows(merged, (1 << len(rows)) - 1 & ~convex | low)
+
+
+def _cover_rows(rows: Sequence[int]) -> tuple[int, ...]:
+    """Row i holds the elements covering i (nothing strictly between)."""
+    return tuple(row & ~_union_rows(rows, row) for row in rows)
+
+
+def _undirected(rows: Sequence[int]) -> tuple[int, ...]:
+    """A relation joined with its reverse."""
+    return tuple(a | b for a, b in zip(rows, _transpose(rows)))
+
+
 def _reach(adj: Sequence[int], seeds: int, within: int) -> int:
     """The seeds and every vertex reachable along ``adj`` without leaving ``within``."""
     seen = frontier = seeds
@@ -187,7 +223,7 @@ class Poset:
     @cached_property
     def covers_up(self) -> tuple[int, ...]:
         """Row i holds the elements covering i (nothing strictly between)."""
-        return tuple(row & ~_union_rows(self.up, row) for row in self.up)
+        return _cover_rows(self.up)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -199,8 +235,7 @@ class Poset:
     @cached_property
     def hasse_adj(self) -> tuple[int, ...]:
         """Undirected adjacency masks of the Hasse diagram."""
-        below = _transpose(self.covers_up)
-        return tuple(a | b for a, b in zip(self.covers_up, below))
+        return _undirected(self.covers_up)
 
     @cached_property
     def is_connected(self) -> bool:
@@ -216,7 +251,8 @@ class Poset:
         )
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in iter_bits(mask))
+        """Labels of a mask's members; a mask outside the poset raises ElementNotFound."""
+        return tuple(self.labels[i] for i in iter_bits(_require_inside(self, mask)))
 
     def mask_of(self, labels: Iterable[str]) -> int:
         return as_mask(self.index(lab) for lab in labels)
@@ -226,12 +262,8 @@ class Poset:
 
         A subset naming an element outside the poset raises ElementNotFound.
         """
-        kept = mask_members(_require_inside(self, as_mask(subset)))
-        image = [0] * self.n
-        for new, old in enumerate(kept):
-            image[old] = 1 << new
-        return Poset(tuple(self.labels[i] for i in kept),
-                     [_union_rows(image, self.up[old]) for old in kept])
+        kept = _require_inside(self, as_mask(subset))
+        return Poset(self.labels_of(kept), _restrict_rows(self.up, kept))
 
     # -- serialization ---------------------------------------------------
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from posetassoc import Poset, connected_posets, is_proper_tube, mask_members
 from posetassoc.isomorphism import refine
+from posetassoc.tubings import TubeComplex
 
 
 def corpus(max_n: int, min_n: int = 2) -> list[Poset]:
@@ -226,6 +227,15 @@ def recursive_f_vector(P: Poset) -> tuple[int, ...]:
     counts = [0] * (d + 1)
     for tubing in recursive_tubings(P):
         counts[d - len(tubing)] += 1
+    return tuple(counts)
+
+
+def walk_f_vector(P: Poset) -> tuple[int, ...]:
+    """Face counts by enumeration: one ``TubeComplex.walk`` step per tubing."""
+    d = P.n - 2
+    counts = [0] * (d + 1)
+    for chosen in TubeComplex(P).walk():
+        counts[d - chosen.bit_count()] += 1
     return tuple(counts)
 
 

@@ -254,6 +254,23 @@ class TestMalformedInput:
         )
         assert code == 1 and data["error"] == "MalformedInput"
 
+    def test_poset_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "poset.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, data = invoke_json(capsys, "fvector", str(path))
+        assert code == 1 and data["error"] == "MalformedInput"
+        assert data["message"] == f"cannot read poset file {str(path)!r}: not valid UTF-8"
+
+    def test_tubing_file_not_utf8(self, capsys, poset_file, tmp_path):
+        path = tmp_path / "tubing.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, data = invoke_json(
+            capsys, "decompose", poset_file(chain(3)),
+            "--subset", "b,c", "--tubing", str(path),
+        )
+        assert code == 1 and data["error"] == "MalformedInput"
+        assert data["message"] == f"cannot read tubing file {str(path)!r}: not valid UTF-8"
+
     def test_deeply_nested_tubing_file(self, capsys, poset_file, tmp_path):
         path = tmp_path / "tubing.json"
         path.write_text('{"tubes": ' + "[" * 100_000 + "]" * 100_000 + "}")

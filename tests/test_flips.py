@@ -7,6 +7,7 @@ import pytest
 from posetassoc import (
     DecoratedSequence,
     Decomposition,
+    ElementNotFound,
     MalformedDecomposition,
     NotATubing,
     NotAutonomous,
@@ -108,6 +109,12 @@ class TestDecompose:
         assert dec.lower.starred == (True, False)
         assert dec.lower.sets == (P.mask_of(["a"]), P.mask_of(["a", "b"]))
         assert dec.blocks == (P.mask_of(["s1"]), P.mask_of(["s2"]))
+
+    @pytest.mark.parametrize("subset", [0b11000, 0b1001, -3, -1])
+    def test_subset_outside_the_poset(self, subset):
+        P = chain(3)
+        with pytest.raises(ElementNotFound):
+            decompose(P, subset, classify_tubes(P, 0b11, []))
 
     def test_blocks_partition_subset_and_increase(self, connected_upto_5):
         for P in connected_upto_5:

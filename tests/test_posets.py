@@ -236,6 +236,11 @@ class TestAutonomy:
         with pytest.raises(ElementNotFound):
             chain(3).restrict(mask)
 
+    @pytest.mark.parametrize("mask", [0b1000, 0b11000, -3, -1])
+    def test_labels_of_outside_the_poset(self, mask):
+        with pytest.raises(ElementNotFound):
+            chain(3).labels_of(mask)
+
     def test_mask_members_rejects_a_negative_mask(self):
         with pytest.raises(MalformedInput):
             mask_members(-1)

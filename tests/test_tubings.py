@@ -13,6 +13,7 @@ from posetassoc import (
     DisconnectedPoset,
     ElementNotFound,
     MalformedInput,
+    StructureViolation,
     TooSmall,
     antichain,
     chain,
@@ -24,6 +25,7 @@ from posetassoc import (
     is_proper_tube,
     is_proper_tubing,
     maximal_tubings,
+    permutohedron_f_vector,
     tube_digraph,
     tubing_from_labels,
     tubing_to_labels,
@@ -37,6 +39,7 @@ from conftest import (
     oracle_count_tubings,
     oracle_is_tubing,
     oracle_tubes,
+    walk_f_vector,
 )
 
 
@@ -273,6 +276,44 @@ class TestFVector:
             f = f_vector(P)
             assert sum((-1) ** i * fi for i, fi in enumerate(f)) == 1
             assert f[-1] == 1
+
+
+class TestFacetRecursion:
+    """f_vector sums over the facets, one per tube, instead of walking tubings."""
+
+    def test_matches_the_walk_on_6_and_7_elements(self):
+        for P in corpus(7, min_n=6):
+            assert f_vector(P) == walk_f_vector(P)
+
+    def test_chain_vertices_are_catalan_up_to_20(self):
+        for n in range(2, 21):
+            assert f_vector(chain(n))[0] == math.comb(2 * (n - 1), n - 1) // n
+
+    def test_one_k_one_is_a_permutohedron(self):
+        for k in range(1, 7):
+            assert f_vector(complete_graded((1, k, 1))) == permutohedron_f_vector(k + 1)
+
+    @pytest.mark.parametrize("parts", [(3, 3, 3, 3), (4, 4, 4)])
+    def test_twelve_elements_euler_and_dehn_sommerville(self, parts):
+        f = f_vector(complete_graded(parts))
+        assert len(f) == 11 and f[-1] == 1
+        assert sum((-1) ** i * fi for i, fi in enumerate(f)) == 1
+        h = h_vector(f)
+        assert h == tuple(reversed(h))
+
+    def test_inexact_division_is_internal_error(self, monkeypatch):
+        # one vertex too many on every 4-element factor breaks a division
+        from posetassoc import tubings
+
+        base = tubings._base_f_vector
+
+        def bumped(n, tubes):
+            f = base(n, tubes)
+            return (f[0] + 1, *f[1:]) if n == 4 else f
+
+        monkeypatch.setattr(tubings, "_base_f_vector", bumped)
+        with pytest.raises(StructureViolation, match="not a multiple of 4"):
+            f_vector(chain(6))
 
 
 class TestHVector:
