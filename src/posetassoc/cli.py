@@ -25,7 +25,7 @@ from .lattice import (
     permutohedron_lattice,
     two_face_census,
 )
-from .posets import Poset, complete_graded, flip, parse_poset
+from .posets import Poset, _poset_payload, complete_graded, flip
 from .tubings import (
     enumerate_tubes,
     enumerate_tubings,
@@ -71,15 +71,16 @@ def _load_poset(source: str | None, graded: str | None,
                 parser: argparse.ArgumentParser, force: bool | None = None) -> Poset:
     """The poset a source names; unless ``force`` is None, refuse one above SIZE_GUARD.
 
-    A graded source is sized from its parts before it is built.
+    A file is sized from its element list, and a graded source from its
+    parts, before the poset is built.
     """
     if (source is None) == (graded is None):
         parser.error("provide exactly one poset source (a file/graded: source or --graded)")
     if graded is None and not source.startswith("graded:"):
-        P = parse_poset(_read(source, "poset"))
+        elements, pairs = _poset_payload(_read(source, "poset"))
         if force is not None:
-            _guard_size(P.n, force)
-        return P
+            _guard_size(len(elements), force)
+        return Poset.from_relations(elements, pairs)
     if graded is None:
         parts = _parse_parts(source[len("graded:"):], parser, "graded:")
     else:

@@ -14,7 +14,7 @@ fails loudly instead of producing a silently wrong tubing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import (
     MalformedDecomposition,
@@ -22,7 +22,7 @@ from .errors import (
     StructureViolation,
 )
 from .posets import Poset, _require_autonomous, _require_inside, _union_rows, as_mask, flip
-from .tubings import Tubing, is_proper_tubing
+from .tubings import Tubing, _is_proper_tubing
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,17 @@ def classify_tubes(
     """Split a tubing into good tubes and the two nested chains of bad ones."""
     s_mask = as_mask(subset)
     _require_autonomous(P, s_mask)
-    tubes = [as_mask(t) for t in tubing]
-    if not is_proper_tubing(P, tubes):
+    return _classify(P, s_mask, [as_mask(t) for t in tubing], {})
+
+
+def _classify(
+    P: Poset, s_mask: int, tubes: Collection[int], upset_of: dict[int, int | None]
+) -> TubeClassification:
+    """``classify_tubes`` for a subset already known to be autonomous.
+
+    ``upset_of`` is the tube memo of ``_is_proper_tubing`` on P.
+    """
+    if not _is_proper_tubing(P, tubes, upset_of):
         raise NotATubing("input is not a proper tubing")
     good = set()
     lower = []
@@ -255,15 +264,20 @@ def flip_tubings(
 ) -> Iterator[Tubing]:
     """Images of proper tubings under the flip of an autonomous subset, in order.
 
-    The subset is flipped once.  Good tubes carry over unchanged; bad tubes
-    are decomposed, the block order reversed, and the result rebuilt on the
-    flipped poset.  Each image is re-validated as a proper tubing.
+    The subset is flipped once, which checks that it is autonomous.  Good
+    tubes carry over unchanged; bad tubes are decomposed, the block order
+    reversed, and the result rebuilt on the flipped poset.  Every input and
+    every image is validated in full as a proper tubing; only whether a
+    mask is a tube of P, or of the flipped poset, is remembered, for the
+    life of this call.
     """
     s_mask = as_mask(subset)
     flipped = flip(P, s_mask)
+    upset_of: dict[int, int | None] = {}
+    flipped_upset_of: dict[int, int | None] = {}
     for tubing in tubings:
         tubes = frozenset(as_mask(t) for t in tubing)
-        classification = classify_tubes(P, s_mask, tubes)
+        classification = _classify(P, s_mask, tubes, upset_of)
         decomposition = decompose(P, s_mask, classification)
         new_bad = reconstruct(flipped, s_mask, decomposition.reversed_blocks())
         image = classification.good | new_bad
@@ -271,7 +285,7 @@ def flip_tubings(
             raise StructureViolation(
                 f"flip image has {len(image)} tubes, expected {len(tubes)}"
             )
-        if not is_proper_tubing(flipped, image):
+        if not _is_proper_tubing(flipped, image, flipped_upset_of):
             raise StructureViolation("flip image is not a proper tubing")
         yield image
 

@@ -306,6 +306,15 @@ def parse_poset(text: str) -> Poset:
     relation pair means a is below b.  Arbitrary relations are accepted,
     not just covers; cycles are rejected.
     """
+    return Poset.from_relations(*_poset_payload(text))
+
+
+def _poset_payload(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """The element labels and relation index pairs of the JSON poset format.
+
+    Schema, duplicate and unknown-label errors are raised here; the
+    relation is neither closed nor checked for cycles.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -342,7 +351,7 @@ def parse_poset(text: str) -> Poset:
         if b not in index:
             raise UnknownElement(f"relation references unknown element {b!r}")
         pairs.append((index[a], index[b]))
-    return Poset.from_relations(elements, pairs)
+    return elements, pairs
 
 
 def complete_graded(parts: Sequence[int]) -> Poset:

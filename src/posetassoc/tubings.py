@@ -125,10 +125,24 @@ def tube_digraph(P: Poset, tubes: Iterable[int]) -> dict[int, tuple[int, ...]]:
 
 def is_proper_tubing(P: Poset, tubes: Iterable[int]) -> bool:
     """Distinct proper tubes, pairwise nested or disjoint, digraph acyclic."""
+    return _is_proper_tubing(P, tubes, {})
+
+
+def _is_proper_tubing(P: Poset, tubes: Iterable[int],
+                      upset_of: dict[int, int | None]) -> bool:
+    """``is_proper_tubing``, with ``upset_of`` memoizing ``_tube_upset`` on P.
+
+    Each tube is checked for convexity and connectivity once per memo; the
+    distinctness, laminarity and acyclicity of the tubing always run.
+    """
     tubes = [as_mask(t) for t in tubes]
     if len(set(tubes)) != len(tubes):
         return False
-    upsets = [_tube_upset(P, t) for t in tubes]
+    upsets = []
+    for t in tubes:
+        if t not in upset_of:
+            upset_of[t] = _tube_upset(P, t)
+        upsets.append(upset_of[t])
     if None in upsets:
         return False
     for k, a in enumerate(tubes):

@@ -477,6 +477,92 @@ class TestGuardBeforeBuild:
         assert code == 1 and data["error"] == "MalformedInput"
 
 
+class ClosureRun(Exception):
+    """A relation above the guard was transitively closed."""
+
+
+def chain_text(n: int, extra=()) -> str:
+    labels = [f"e{i}" for i in range(n)]
+    relations = [[a, b] for a, b in zip(labels, labels[1:])] + [list(p) for p in extra]
+    return json.dumps({"elements": labels, "relations": relations})
+
+
+class TestFileGuardBeforeClosure:
+    """A poset file above the guard is refused before its relation is closed."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_big_closures(self, monkeypatch):
+        real = posetassoc.posets._transitive_closure
+
+        def close(rows):
+            if len(rows) > SIZE_GUARD:
+                raise ClosureRun(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr("posetassoc.posets._transitive_closure", close)
+
+    @pytest.fixture
+    def text_file(self, tmp_path):
+        def write(text, name="poset.json"):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            return str(path)
+
+        return write
+
+    @pytest.mark.parametrize(
+        "verb", ["fvector", "hvector", "tubings", "maximal", "check-invariance", "polygons"]
+    )
+    def test_refused_unclosed(self, capsys, text_file, verb):
+        code, data = invoke_json(capsys, verb, text_file(chain_text(13)))
+        assert code == 1
+        assert data == {
+            "schema_version": 1,
+            "error": "PosetTooLarge",
+            "message": "13 elements exceed" + GUARD_TAIL,
+        }
+
+    def test_equiv_second_file(self, capsys, text_file):
+        code, data = invoke_json(capsys, "equiv", "graded:2,2", text_file(chain_text(13)))
+        assert code == 1 and data["error"] == "PosetTooLarge"
+
+    def test_cycle_above_the_guard_is_too_large(self, capsys, text_file):
+        code, data = invoke_json(
+            capsys, "fvector", text_file(chain_text(13, [["e12", "e0"]]))
+        )
+        assert code == 1 and data["error"] == "PosetTooLarge"
+
+    def test_cycle_within_the_guard(self, capsys, text_file):
+        code, data = invoke_json(
+            capsys, "fvector", text_file(chain_text(12, [["e11", "e0"]]))
+        )
+        assert code == 1 and data["error"] == "CyclicRelation"
+
+    @pytest.mark.parametrize(
+        "extra, error",
+        [
+            ([["e0", "zz"]], "UnknownElement"),
+            ([["e0", 5]], "MalformedInput"),
+        ],
+    )
+    def test_schema_errors_come_first(self, capsys, text_file, extra, error):
+        code, data = invoke_json(capsys, "fvector", text_file(chain_text(13, extra)))
+        assert code == 1 and data["error"] == error
+
+    def test_duplicate_label_comes_first(self, capsys, text_file):
+        text = json.dumps({"elements": ["e0"] * 13, "relations": []})
+        code, data = invoke_json(capsys, "fvector", text_file(text))
+        assert code == 1 and data["error"] == "DuplicateElement"
+
+    def test_force_still_closes(self, text_file):
+        with pytest.raises(ClosureRun):
+            run(["fvector", text_file(chain_text(13)), "--force"])
+
+    def test_unguarded_verb_still_closes(self, text_file):
+        with pytest.raises(ClosureRun):
+            run(["tubes", text_file(chain_text(13))])
+
+
 class TestUsage:
     def test_unknown_verb(self):
         with pytest.raises(SystemExit) as err:

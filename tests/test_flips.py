@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import random
+from itertools import islice
+
 import pytest
 
 from posetassoc import (
     DecoratedSequence,
     Decomposition,
+    DomainError,
     ElementNotFound,
     MalformedDecomposition,
     NotATubing,
     NotAutonomous,
     Poset,
+    StructureViolation,
     autonomous_subsets,
     chain,
     classify_tubes,
@@ -26,6 +31,11 @@ from posetassoc import (
     is_weakly_increasing,
     reconstruct,
 )
+from posetassoc import flips
+from posetassoc.flips import _classify
+from posetassoc.tubings import _is_proper_tubing
+
+from conftest import corpus
 
 
 @pytest.fixture
@@ -255,6 +265,146 @@ class TestFlipTubing:
     def test_streaming_not_autonomous(self):
         with pytest.raises(NotAutonomous):
             next(flip_tubings(chain(3), 0b101, [frozenset()]))
+
+
+def _oracle_flip(P, S, flipped, T):
+    """One tubing through the public steps, each validating it afresh."""
+    classification = classify_tubes(P, S, T)
+    dec = decompose(P, S, classification)
+    image = classification.good | reconstruct(flipped, S, dec.reversed_blocks())
+    if len(image) != len(frozenset(T)) or not is_proper_tubing(flipped, image):
+        raise StructureViolation("oracle image is not a proper tubing of the same size")
+    return image
+
+
+def _outcomes(images):
+    """The images in order, then the type of the error that ended them, if any."""
+    out = []
+    try:
+        for image in images:
+            out.append(image)
+    except DomainError as exc:
+        out.append(type(exc))
+    return out
+
+
+def _assert_matches_oracle(P, tubings):
+    for S in autonomous_subsets(P, 2):
+        flipped = flip(P, S)
+        fast = _outcomes(flip_tubings(P, S, tubings))
+        slow = _outcomes(_oracle_flip(P, S, flipped, T) for T in tubings)
+        assert fast == slow, (P, S)
+
+
+def _seeded_poset(seed: int, n: int) -> Poset:
+    """A random tree with random edge directions, plus relations along its ranks."""
+    rng = random.Random(seed)
+    tree = []
+    for child in range(1, n):
+        parent = rng.randrange(child)
+        tree.append((parent, child) if rng.random() < 0.5 else (child, parent))
+    base = Poset.from_relations([f"v{i}" for i in range(n)], tree)
+    rank = [base.down[i].bit_count() for i in range(n)]
+    extra = [(a, b) for a in range(n) for b in range(n)
+             if rank[a] < rank[b] and rng.randrange(6) == 0]
+    return Poset.from_relations(base.labels, tree + extra)
+
+
+@pytest.fixture(scope="module")
+def connected_upto_6():
+    return corpus(6)
+
+
+class TestFlipTubingsAgainstOracle:
+    """flip_tubings, which remembers tubes within a call, against fresh checks."""
+
+    def test_catalog(self, connected_upto_6):
+        for P in connected_upto_6:
+            _assert_matches_oracle(P, list(enumerate_tubings(P)))
+
+    def test_improper_tubing_midway(self, connected_upto_5):
+        # the full mask is no tube; a crossing or cyclic pair of tubes is no tubing
+        for P in connected_upto_5:
+            tubings = list(enumerate_tubings(P))
+            singles = sorted(next(iter(T)) for T in tubings if len(T) == 1)
+            bad = [frozenset([P.full_mask])]
+            bad += [frozenset([a, b]) for k, a in enumerate(singles) for b in singles[:k]
+                    if not is_proper_tubing(P, [a, b])][:2]
+            half = len(tubings) // 2
+            for T in bad:
+                _assert_matches_oracle(P, tubings[:half] + [T] + tubings[half:])
+
+    @pytest.mark.parametrize("seed, n", [(1, 7), (2, 7), (3, 8), (4, 8)])
+    def test_seeded_larger_posets(self, seed, n):
+        P = _seeded_poset(seed, n)
+        _assert_matches_oracle(P, list(islice(enumerate_tubings(P), 1500)))
+
+
+class TestChecksStayLiveWithWarmMemo:
+    """The per-call tube memo never stands in for a check of the tubing."""
+
+    @pytest.mark.parametrize(
+        "parts, subset, first, second",
+        [
+            # crossing: the two tubes share x2_1 and neither holds the other
+            ((1, 2, 1), ["x2_1", "x2_2"], ["x1_1", "x2_1"], ["x2_1", "x3_1"]),
+            # cyclic: disjoint, each holds an element below one of the other's
+            ((2, 2), ["x1_1", "x1_2"], ["x1_1", "x2_1"], ["x1_2", "x2_2"]),
+        ],
+    )
+    def test_improper_pair_after_its_tubes(self, parts, subset, first, second):
+        P = complete_graded(parts)
+        S = P.mask_of(subset)
+        a, b = P.mask_of(first), P.mask_of(second)
+        images = flip_tubings(P, S, [[a], [b], [a, b]])
+        assert next(images) == flip_tubing(P, S, [a])
+        assert next(images) == flip_tubing(P, S, [b])
+        with pytest.raises(NotATubing):
+            next(images)
+
+    def test_remembered_non_tube_is_refused_again(self):
+        # flip_tubings stops at the first improper tubing, so the repeat of
+        # a remembered non-tube goes through the helpers it shares a memo with
+        P = chain(4)
+        S = P.mask_of(["b", "c"])
+        non_tube = P.mask_of(["a", "c"])  # not convex
+        holder = P.mask_of(["a", "b", "c"])
+        memo = {}
+        assert not _is_proper_tubing(P, [non_tube], memo)
+        assert memo[non_tube] is None
+        assert _is_proper_tubing(P, [holder], memo)
+        assert not _is_proper_tubing(P, [holder, non_tube], memo)
+        with pytest.raises(NotATubing):
+            _classify(P, S, [holder, non_tube], memo)
+        with pytest.raises(NotATubing):
+            _classify(P, S, [P.full_mask], memo)
+        assert memo[P.full_mask] is None
+        with pytest.raises(NotATubing):
+            _classify(P, S, [holder, P.full_mask], memo)
+
+    def test_non_tube_image_partway(self, monkeypatch):
+        P = complete_graded((1, 2, 2))
+        S = P.mask_of(["x2_1", "x2_2"])
+        tubings = list(enumerate_tubings(P))
+        want = list(flip_tubings(P, S, tubings))
+        real = flips.reconstruct
+        rebuilt = []
+
+        def corrupt_from_tenth(Q, subset, decomposition):
+            tubes = real(Q, subset, decomposition)
+            rebuilt.append(tubes)
+            if len(rebuilt) >= 10 and tubes:
+                # same size, one tube swapped for the whole poset
+                return (tubes - {max(tubes)}) | {Q.full_mask}
+            return tubes
+
+        monkeypatch.setattr(flips, "reconstruct", corrupt_from_tenth)
+        yielded = []
+        with pytest.raises(StructureViolation, match="not a proper tubing"):
+            for image in flip_tubings(P, S, tubings):
+                yielded.append(image)
+        assert len(yielded) == len(rebuilt) - 1 >= 9
+        assert yielded == want[: len(yielded)]
 
 
 def as_mask_helper(indices):
