@@ -19,12 +19,7 @@ from typing import Sequence
 from .comparability import autonomous_subsets, flip_sequence
 from .errors import DomainError, InternalError, MalformedInput, PosetTooLarge
 from .flips import classify_tubes, decompose, flip_tubing, flip_tubings
-from .lattice import (
-    face_lattice,
-    lattices_equivalent,
-    permutohedron_lattice,
-    two_face_census,
-)
+from .lattice import polytopes_equivalent, two_face_census
 from .posets import Poset, _poset_payload, complete_graded, flip
 from .tubings import (
     enumerate_tubes,
@@ -229,10 +224,10 @@ def _cmd_equiv(P: Poset, args, parser) -> tuple[dict, list]:
     if args.permutohedron is not None:
         _guard_size(args.permutohedron, args.force,
                     "permutohedron on {n} letters exceeds")
-        other = permutohedron_lattice(args.permutohedron)
+        other = args.permutohedron
     else:
-        other = face_lattice(_load_poset(args.other, None, parser, args.force))
-    equivalent = lattices_equivalent(face_lattice(P), other)
+        other = _load_poset(args.other, None, parser, args.force)
+    equivalent = polytopes_equivalent(P, other)
     return {"equivalent": equivalent}, [["equivalent", str(equivalent).lower()]]
 
 

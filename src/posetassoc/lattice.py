@@ -6,6 +6,9 @@ one assembly, ``_assemble``: each lists its faces rank by rank with their
 covers, and the vertex sets are unions taken bottom-up.  Combinatorial
 equivalence is decided on the vertex-facet incidence structure, which
 determines the whole lattice for polytopes and keeps the search tiny.
+``polytopes_equivalent`` builds no lattice: it compares f-vectors from the
+facet recursion, and only when they agree reads the incidences off the
+maximal tubings (or the permutations, for a permutohedron).
 """
 
 from __future__ import annotations
@@ -14,13 +17,17 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .errors import MalformedInput, NotATubing, QuotientNotPoset, TooSmall
 from .isomorphism import find_isomorphism
 from .posets import (Poset, _require_inside, _transitive_closure, _union_rows, as_mask,
                      iter_bits, mask_members)
-from .tubings import TubeComplex, _require_usable, is_proper_tubing
+from .tubings import TubeComplex, _require_usable, f_vector, is_proper_tubing
+
+# Vertex-facet incidence graph: adjacency rows (vertices first) and colours.
+Incidence = tuple[list[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,7 @@ def permutohedron_f_vector(n: int) -> tuple[int, ...]:
 # -- equivalence and polygon census ------------------------------------------
 
 
-def _incidence(L: FaceLattice) -> tuple[list[int], list[int]]:
+def _incidence(L: FaceLattice) -> Incidence:
     """Vertex-facet incidence graph: rows (vertices first) and colours."""
     verts = L.faces_of_rank(0)
     facets = L.faces_of_rank(L.dim - 1)
@@ -154,15 +161,90 @@ def _incidence(L: FaceLattice) -> tuple[list[int], list[int]]:
     return rows, colors
 
 
+def _vertex_facet_rows(verts: Sequence[int], facets: int) -> Incidence:
+    """``_incidence``'s rows and colours, from each vertex's bitset of facets."""
+    members: list[list[int]] = [[] for _ in range(facets)]
+    for v, row in enumerate(verts):
+        for facet in iter_bits(row):
+            members[facet].append(v)
+    shift = len(verts)
+    rows = [row << shift for row in verts] + [as_mask(m) for m in members]
+    return rows, [0] * shift + [1] * facets
+
+
+def _tubing_incidence(P: Poset) -> Incidence:
+    """The vertex-facet incidence of the tubing complex, without its lattice.
+
+    The vertices are the maximal tubings in walk order and the facets are
+    the tubes in ``TubeComplex`` order.  A vertex lies in the facet of each
+    tube it holds, so its facet bitset is its walked bitset.
+    """
+    cx = TubeComplex(P)
+    want = P.n - 2
+    return _vertex_facet_rows([c for c in cx.walk() if c.bit_count() == want],
+                              len(cx.tubes))
+
+
+def _permutohedron_incidence(n: int) -> Incidence:
+    """The vertex-facet incidence of the permutohedron on n letters.
+
+    The vertices are the permutations and the facets the proper nonempty
+    subsets, subset mask m being facet m - 1.  A vertex lies in the facets
+    of its n - 1 proper prefixes.
+    """
+    verts = []
+    for perm in itertools.permutations(range(n)):
+        row = prefix = 0
+        for letter in perm[:-1]:
+            prefix |= 1 << letter
+            row |= 1 << (prefix - 1)
+        verts.append(row)
+    return _vertex_facet_rows(verts, (1 << n) - 2)
+
+
+def _same_polytope(f_a: Sequence[int], f_b: Sequence[int],
+                   incidence_a: Callable[[], Incidence],
+                   incidence_b: Callable[[], Incidence]) -> bool:
+    """Whether two polytopes with these f-vectors are combinatorially equivalent.
+
+    A polytope's vertex-facet incidence determines its face lattice, so
+    equal f-vectors and isomorphic incidences decide it.  The incidences
+    are built only when the f-vectors agree and the dimension is positive.
+    """
+    if f_a != f_b:
+        return False
+    if len(f_a) == 1:
+        return True
+    rows_a, colors_a = incidence_a()
+    rows_b, colors_b = incidence_b()
+    return find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
+
+
 def lattices_equivalent(A: FaceLattice, B: FaceLattice) -> bool:
     """Rank-preserving lattice isomorphism, decided on vertex-facet incidences."""
-    if A.dim != B.dim or A.rank_counts() != B.rank_counts():
-        return False
-    if A.dim == 0:
-        return True
-    rows_a, colors_a = _incidence(A)
-    rows_b, colors_b = _incidence(B)
-    return find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
+    return _same_polytope(A.rank_counts(), B.rank_counts(),
+                          partial(_incidence, A), partial(_incidence, B))
+
+
+def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
+    """Whether A(P) is combinatorially equivalent to A(other).
+
+    ``other`` is a poset or, as an int, the letter count of a permutohedron.
+    The answer is that of ``lattices_equivalent`` on the two face lattices,
+    but no lattice is built: the f-vectors come from the facet recursion,
+    and the incidences are read off the maximal tubings (or the
+    permutations) only when the f-vectors agree.  ``other`` is checked
+    first, so its ``TooSmall``, ``DisconnectedPoset`` or ``MalformedInput``
+    comes before P's.
+    """
+    if isinstance(other, Poset):
+        f_other = f_vector(other)
+        incidence_other = partial(_tubing_incidence, other)
+    else:
+        f_other = permutohedron_f_vector(other)
+        incidence_other = partial(_permutohedron_incidence, other)
+    return _same_polytope(f_vector(P), f_other, partial(_tubing_incidence, P),
+                          incidence_other)
 
 
 def polygon_census(L: FaceLattice) -> Counter[int]:

@@ -34,6 +34,7 @@ from posetassoc import (
     permutohedron_f_vector,
     permutohedron_lattice,
     polygon_census,
+    polytopes_equivalent,
     poset_isomorphism,
     reconstruct,
     replay_flips,
@@ -250,4 +251,30 @@ def test_criterion_10_f_vector_depends_only_on_comparability_graph():
         f" <= 7 in {len(f_vectors)} classes",
         started,
         60.0,
+    )
+
+
+def test_criterion_11_the_papers_family_observed():
+    # an observation on the catalog (ROADMAP item 3), not a theorem: for
+    # 4 <= n <= 7 the poset associahedra that are permutohedra include
+    # graded(a, 1, n-1-a) with zero parts dropped, and graded(1, n-2, 1)
+    started = time.time()
+    checked = 0
+    for n in range(4, 8):
+        family = [tuple(p for p in (a, 1, n - 1 - a) if p) for a in range(n)]
+        for parts in [*family, (1, n - 2, 1)]:
+            assert polytopes_equivalent(complete_graded(parts), n - 1), parts
+            checked += 1
+    # the paper's headline pair: one f-vector, and only one is a permutohedron
+    fat_bottom, saturated = complete_graded((1, 2, 3)), complete_graded((2, 1, 3))
+    assert f_vector(fat_bottom) == f_vector(saturated) == permutohedron_f_vector(5)
+    assert polytopes_equivalent(saturated, 5)
+    assert not polytopes_equivalent(fat_bottom, 5)
+    assert not polytopes_equivalent(fat_bottom, saturated)
+    report(
+        11,
+        f"{checked} graded posets are permutohedra; graded(1,2,3) shares the"
+        " f-vector of graded(2,1,3) but not its face lattice",
+        started,
+        30.0,
     )

@@ -477,6 +477,38 @@ class TestGuardBeforeBuild:
         assert code == 1 and data["error"] == "MalformedInput"
 
 
+class IncidenceBuilt(Exception):
+    """A vertex-facet incidence or a tube complex was built."""
+
+
+class TestEquivFVectorsFirst:
+    """equiv answers from the f-vectors alone when they differ.
+
+    The permutohedron on 11 letters passes the size guard but has
+    1,622,632,573 faces, so no lattice or incidence of it may be built.
+    """
+
+    @pytest.fixture(autouse=True)
+    def refuse_incidences(self, monkeypatch):
+        def build(*args):
+            raise IncidenceBuilt(args)
+
+        for name in ("_tubing_incidence", "_permutohedron_incidence", "TubeComplex"):
+            monkeypatch.setattr(f"posetassoc.lattice.{name}", build)
+
+    def test_permutohedron_on_eleven_letters(self, capsys):
+        code, data = invoke_json(capsys, "equiv", "graded:1,1", "--permutohedron", "11")
+        assert code == 0 and data == {"schema_version": 1, "equivalent": False}
+
+    def test_chain_against_graded(self, capsys, poset_file):
+        code, data = invoke_json(capsys, "equiv", poset_file(chain(8)), "graded:2,2,2,2")
+        assert code == 0 and data == {"schema_version": 1, "equivalent": False}
+
+    def test_equal_f_vectors_build_the_incidences(self):
+        with pytest.raises(IncidenceBuilt):
+            run(["equiv", "graded:2,1,3", "--permutohedron", "5"])
+
+
 class ClosureRun(Exception):
     """A relation above the guard was transitively closed."""
 

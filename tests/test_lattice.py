@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ from posetassoc import (
     chain,
     classify_tubes,
     complete_graded,
+    enumerate_tubes,
     enumerate_tubings,
     f_vector,
     face_lattice,
@@ -28,12 +30,15 @@ from posetassoc import (
     permutohedron_f_vector,
     permutohedron_lattice,
     polygon_census,
+    polytopes_equivalent,
     quotient_with_map,
     two_face_census,
 )
+from posetassoc.isomorphism import find_isomorphism
+from posetassoc.lattice import _incidence, _permutohedron_incidence, _tubing_incidence
 from posetassoc.posets import iter_bits
 
-from conftest import expanded_permutohedron
+from conftest import corpus, expanded_permutohedron
 
 
 def stirling2_by_inclusion_exclusion(n: int, k: int) -> int:
@@ -162,6 +167,77 @@ class TestEquivalence:
             ),
         )
         assert lattices_equivalent(face_lattice(P), face_lattice(Q))
+
+
+class TestPolytopesEquivalent:
+    """``polytopes_equivalent`` against ``lattices_equivalent`` on built lattices.
+
+    Each catalog poset's face lattice is built once; the answers must agree
+    on every pair of connected posets with 2-5 elements and equal f-vectors,
+    on each 6-element poset against the first of its f-vector group, and on
+    every poset with a permutohedral f-vector against the permutohedron.
+    """
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        posets = corpus(6)
+        return posets, [face_lattice(P) for P in posets]
+
+    def test_agrees_with_the_lattices(self, catalog):
+        posets, lattices = catalog
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, L in enumerate(lattices):
+            groups.setdefault(L.rank_counts(), []).append(i)
+        pairs = []
+        for members in groups.values():
+            small = [i for i in members if posets[i].n <= 5]
+            pairs += itertools.combinations(small, 2)
+            pairs += [(members[0], i) for i in members[1:] if posets[i].n == 6]
+        assert sum(posets[i].n <= 5 for i, _ in pairs) == 244
+        answers = set()
+        for i, j in pairs:
+            want = lattices_equivalent(lattices[i], lattices[j])
+            assert polytopes_equivalent(posets[i], posets[j]) == want, (posets[i], posets[j])
+            answers.add(want)
+        permutohedral = 0
+        for i, P in enumerate(posets):
+            if lattices[i].rank_counts() == permutohedron_f_vector(P.n - 1):
+                want = lattices_equivalent(lattices[i], permutohedron_lattice(P.n - 1))
+                assert polytopes_equivalent(P, P.n - 1) == want, P
+                answers.add(want)
+                permutohedral += 1
+        assert answers == {False, True} and permutohedral > 10
+
+    def test_tubing_incidence_matches_the_lattice(self, catalog):
+        for P, L in zip(*catalog):
+            rows, colors = _tubing_incidence(P)
+            tubes = enumerate_tubes(P)
+            verts = colors.count(0)
+            assert colors == [0] * verts + [1] * len(tubes)
+            # a vertex's row holds its tubes' facets, shifted past the vertices
+            held = [frozenset(tubes[t] for t in iter_bits(row >> verts)) for row in rows[:verts]]
+            direct = {(tubing, (tube,)) for tubing in held for tube in tubing}
+            assert direct == {(held[v], (tube,)) for f, tube in enumerate(tubes)
+                              for v in iter_bits(rows[verts + f])}
+            lattice_rows, lattice_colors = _incidence(L)
+            assert lattice_colors == colors
+            keys = [frozenset(face.key) for face in L.faces_of_rank(0)]
+            facets = [face.key for face in L.faces_of_rank(L.dim - 1)]
+            from_lattice = {(keys[v], facet) for f, facet in enumerate(facets)
+                            for v in iter_bits(lattice_rows[verts + f])}
+            assert direct == from_lattice, P
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_permutohedron_incidence_matches_the_lattice(self, n):
+        rows, colors = _permutohedron_incidence(n)
+        lattice_rows, lattice_colors = _incidence(permutohedron_lattice(n))
+        assert colors == lattice_colors
+        assert find_isomorphism(rows, lattice_rows, colors, lattice_colors) is not None
+
+    def test_zero_dimensional(self):
+        assert polytopes_equivalent(chain(2), 1)
+        assert polytopes_equivalent(chain(2), chain(2))
+        assert not polytopes_equivalent(chain(3), 1)
 
 
 class TestPolygonCensus:
