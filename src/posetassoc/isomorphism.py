@@ -105,15 +105,19 @@ def find_isomorphism(
     if colors2 is None:
         colors2 = [0] * n
     outs, ins = _adjacency([*out1, *(row << n for row in out2)])
-    fresh = 2 * n  # above every refined colour
-    # Depth-first over colourings still to refine; a node's children are
-    # pushed in descending target order so the least target is tried first.
-    # Refinement may stop at n colours: a balanced colouring with n colours
-    # pairs the halves off, and one more round would split a pair only if
-    # the mapping read off it fails the edge check anyway.
-    stack = [[*colors1, *colors2]]
+    # Depth-first over colourings still to refine.  Each branch is one
+    # generator of trial colourings, built one at a time in ascending target
+    # order so the least target is tried first.  Refinement may stop at n
+    # colours: a balanced colouring with n colours pairs the halves off, and
+    # one more round would split a pair only if the mapping read off it
+    # fails the edge check anyway.
+    stack = [iter([[*colors1, *colors2]])]
     while stack:
-        colors = _refine(outs, ins, stack.pop(), n)
+        trial = next(stack[-1], None)
+        if trial is None:
+            stack.pop()
+            continue
+        colors = _refine(outs, ins, trial, n)
         c1, c2 = colors[:n], colors[n:]
         if sorted(c1) != sorted(c2):
             continue
@@ -128,8 +132,18 @@ def find_isomorphism(
             if all(out2[j] == _union_rows(image, row) for j, row in zip(mapping, out1)):
                 return mapping
             continue
-        for j in reversed([j for j in range(n) if c2[j] == c1[branch]]):
-            trial = colors.copy()
-            trial[branch] = trial[n + j] = fresh
-            stack.append(trial)
+        targets = [j for j in range(n) if c2[j] == c1[branch]]
+        stack.append(_individualized(colors, branch, targets, n))
     return None
+
+
+def _individualized(colors: list[int], branch: int, targets: list[int], n: int):
+    """The trial colourings of one branch, one per target, built lazily.
+
+    Each gives ``branch`` and one target in graph 2 a fresh colour, above
+    every refined colour of the 2n vertices.
+    """
+    for j in targets:
+        trial = colors.copy()
+        trial[branch] = trial[n + j] = 2 * n
+        yield trial

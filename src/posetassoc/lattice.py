@@ -1,14 +1,12 @@
-"""Face lattices of tubing complexes and of permutohedra.
+"""Combinatorial equivalence, 2-faces and face products of poset associahedra.
 
-Both lattices are stored the same way: one record per face carrying its
-rank, a canonical key, and the set of vertices below it.  Both are built by
-one assembly, ``_assemble``: each lists its faces rank by rank with their
-covers, and the vertex sets are unions taken bottom-up.  Combinatorial
-equivalence is decided on the vertex-facet incidence structure, which
-determines the whole lattice for polytopes and keeps the search tiny.
-``polytopes_equivalent`` builds no lattice: it compares f-vectors from the
-facet recursion, and only when they agree reads the incidences off the
-maximal tubings (or the permutations, for a permutohedron).
+A polytope is represented here only by its vertex-facet incidence, which
+determines its whole face lattice.  ``polytopes_equivalent`` compares
+f-vectors from the facet recursion first, and only when they agree reads
+the two incidences off the maximal tubings (or the permutations, for a
+permutohedron) and searches for an isomorphism between them.
+``two_face_census`` counts the vertices of each 2-face directly from the
+maximal tubings.
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import MalformedInput, NotATubing, QuotientNotPoset, TooSmall
 from .isomorphism import find_isomorphism
@@ -28,102 +24,6 @@ from .tubings import TubeComplex, _require_usable, f_vector, is_proper_tubing
 
 # Vertex-facet incidence graph: adjacency rows (vertices first) and colours.
 Incidence = tuple[list[int], list[int]]
-
-
-@dataclass(frozen=True)
-class Face:
-    rank: int
-    key: tuple
-    vertices: frozenset[int]
-
-
-@dataclass(frozen=True)
-class FaceLattice:
-    """Graded face poset with ranks 0..dim and a unique top face."""
-
-    dim: int
-    faces: tuple[Face, ...]
-    covers: tuple[tuple[int, int], ...]  # (covered face, covering face)
-
-    def rank_counts(self) -> tuple[int, ...]:
-        counts = [0] * (self.dim + 1)
-        for face in self.faces:
-            counts[face.rank] += 1
-        return tuple(counts)
-
-    def faces_of_rank(self, rank: int) -> list[Face]:
-        return [f for f in self.faces if f.rank == rank]
-
-
-def _assemble(dim: int, ranks: list[int], keys: list[tuple],
-              covers: list[tuple[int, int]]) -> FaceLattice:
-    """The lattice of faces listed rank by rank, vertices first.
-
-    ``covers`` holds (covered face, covering face) index pairs.  A vertex's
-    id is its face index, and the vertices below any other face are the
-    union of those below the faces it covers.  Sorted, the covers reach a
-    face only after every face it covers is complete.
-    """
-    covers.sort()
-    below = [{i} if rank == 0 else set() for i, rank in enumerate(ranks)]
-    for child, parent in covers:
-        below[parent] |= below[child]
-    # Each set is replaced by its face, so no set outlives its frozen copy.
-    for i, verts in enumerate(below):
-        below[i] = Face(ranks[i], keys[i], frozenset(verts))
-    return FaceLattice(dim, tuple(below), tuple(covers))
-
-
-def face_lattice(P: Poset) -> FaceLattice:
-    """Face lattice of the tubing complex, tubings ordered by reverse inclusion.
-
-    A tubing with one extra tube is one dimension lower and is covered by
-    the smaller tubing.
-    """
-    dim = P.n - 2
-    cx = TubeComplex(P)
-    keys = {c: tuple(sorted(cx.tubing(c))) for c in cx.walk()}
-    order = sorted(keys, key=lambda c: (-c.bit_count(), keys[c]))
-    index_of = {c: i for i, c in enumerate(order)}
-    covers = [(child, index_of[chosen ^ (1 << i)])
-              for child, chosen in enumerate(order) for i in iter_bits(chosen)]
-    return _assemble(dim, [dim - c.bit_count() for c in order],
-                     [keys[c] for c in order], covers)
-
-
-# -- permutohedron oracle ----------------------------------------------------
-
-
-def _ordered_partitions(items: tuple[int, ...]):
-    """All ordered set partitions of items, blocks as sorted tuples."""
-    if not items:
-        yield ()
-        return
-    for r in range(1, len(items) + 1):
-        for block in itertools.combinations(items, r):
-            remaining = tuple(x for x in items if x not in block)
-            for tail in _ordered_partitions(remaining):
-                yield (block, *tail)
-
-
-def permutohedron_lattice(n: int) -> FaceLattice:
-    """Face lattice of the permutohedron on n letters.
-
-    Faces are ordered set partitions of 1..n; one with k blocks has
-    dimension n - k, and merging two adjacent blocks goes one dimension up.
-    """
-    if n < 1:
-        raise MalformedInput("need at least one letter")
-    items = tuple(range(1, n + 1))
-    partitions = list(_ordered_partitions(items))
-    partitions.sort(key=lambda p: (n - len(p), p))
-    index_of = {p: i for i, p in enumerate(partitions)}
-    covers = []
-    for child, p in enumerate(partitions):
-        for i in range(len(p) - 1):
-            merged = tuple(sorted(p[i] + p[i + 1]))
-            covers.append((child, index_of[p[:i] + (merged,) + p[i + 2 :]]))
-    return _assemble(n - 1, [n - len(p) for p in partitions], partitions, covers)
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -144,25 +44,11 @@ def permutohedron_f_vector(n: int) -> tuple[int, ...]:
     )
 
 
-# -- equivalence and polygon census ------------------------------------------
-
-
-def _incidence(L: FaceLattice) -> Incidence:
-    """Vertex-facet incidence graph: rows (vertices first) and colours."""
-    verts = L.faces_of_rank(0)
-    facets = L.faces_of_rank(L.dim - 1)
-    rows = [0] * (len(verts) + len(facets))
-    colors = [0] * len(verts) + [1] * len(facets)
-    for fi, facet in enumerate(facets):
-        node = len(verts) + fi
-        for v in facet.vertices:
-            rows[node] |= 1 << v
-            rows[v] |= 1 << node
-    return rows, colors
+# -- equivalence and 2-face census -------------------------------------------
 
 
 def _vertex_facet_rows(verts: Sequence[int], facets: int) -> Incidence:
-    """``_incidence``'s rows and colours, from each vertex's bitset of facets."""
+    """Incidence rows (vertices first) and colours from each vertex's facet bitset."""
     members: list[list[int]] = [[] for _ in range(facets)]
     for v, row in enumerate(verts):
         for facet in iter_bits(row):
@@ -173,7 +59,7 @@ def _vertex_facet_rows(verts: Sequence[int], facets: int) -> Incidence:
 
 
 def _tubing_incidence(P: Poset) -> Incidence:
-    """The vertex-facet incidence of the tubing complex, without its lattice.
+    """The vertex-facet incidence of the tubing complex.
 
     The vertices are the maximal tubings in walk order and the facets are
     the tubes in ``TubeComplex`` order.  A vertex lies in the facet of each
@@ -202,54 +88,27 @@ def _permutohedron_incidence(n: int) -> Incidence:
     return _vertex_facet_rows(verts, (1 << n) - 2)
 
 
-def _same_polytope(f_a: Sequence[int], f_b: Sequence[int],
-                   incidence_a: Callable[[], Incidence],
-                   incidence_b: Callable[[], Incidence]) -> bool:
-    """Whether two polytopes with these f-vectors are combinatorially equivalent.
-
-    A polytope's vertex-facet incidence determines its face lattice, so
-    equal f-vectors and isomorphic incidences decide it.  The incidences
-    are built only when the f-vectors agree and the dimension is positive.
-    """
-    if f_a != f_b:
-        return False
-    if len(f_a) == 1:
-        return True
-    rows_a, colors_a = incidence_a()
-    rows_b, colors_b = incidence_b()
-    return find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
-
-
-def lattices_equivalent(A: FaceLattice, B: FaceLattice) -> bool:
-    """Rank-preserving lattice isomorphism, decided on vertex-facet incidences."""
-    return _same_polytope(A.rank_counts(), B.rank_counts(),
-                          partial(_incidence, A), partial(_incidence, B))
-
-
 def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
     """Whether A(P) is combinatorially equivalent to A(other).
 
     ``other`` is a poset or, as an int, the letter count of a permutohedron.
-    The answer is that of ``lattices_equivalent`` on the two face lattices,
-    but no lattice is built: the f-vectors come from the facet recursion,
-    and the incidences are read off the maximal tubings (or the
-    permutations) only when the f-vectors agree.  ``other`` is checked
+    A polytope's vertex-facet incidence determines its face lattice, so
+    equal f-vectors and isomorphic incidences decide it.  The f-vectors come
+    from the facet recursion, and the incidences are built only when the
+    f-vectors agree and the dimension is positive.  ``other`` is checked
     first, so its ``TooSmall``, ``DisconnectedPoset`` or ``MalformedInput``
     comes before P's.
     """
-    if isinstance(other, Poset):
-        f_other = f_vector(other)
-        incidence_other = partial(_tubing_incidence, other)
-    else:
-        f_other = permutohedron_f_vector(other)
-        incidence_other = partial(_permutohedron_incidence, other)
-    return _same_polytope(f_vector(P), f_other, partial(_tubing_incidence, P),
-                          incidence_other)
-
-
-def polygon_census(L: FaceLattice) -> Counter[int]:
-    """Vertex counts of all 2-dimensional faces, as a multiset."""
-    return Counter(len(face.vertices) for face in L.faces_of_rank(2))
+    is_poset = isinstance(other, Poset)
+    f_other = f_vector(other) if is_poset else permutohedron_f_vector(other)
+    f = f_vector(P)
+    if f != f_other:
+        return False
+    if len(f) == 1:
+        return True
+    rows_a, colors_a = _tubing_incidence(P)
+    rows_b, colors_b = _tubing_incidence(other) if is_poset else _permutohedron_incidence(other)
+    return find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
 
 
 def two_face_census(P: Poset) -> Counter[int]:

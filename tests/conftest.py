@@ -239,24 +239,43 @@ def walk_f_vector(P: Poset) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def scan_face_vertices(P: Poset) -> dict[tuple[int, ...], frozenset[int]]:
-    """Face key to vertex ids, by testing every tubing against every vertex.
+def scan_face_vertices(P: Poset) -> list[tuple[int, tuple[int, ...], frozenset[int]]]:
+    """Faces (rank, key, vertex ids), by testing every tubing against every vertex.
 
-    Vertex ids number the maximal tubings in sorted-key order, as in
-    FaceLattice; a face's key is its sorted tube masks.
+    Vertex ids number the maximal tubings in sorted-key order; a face's key
+    is its sorted tube masks, and its rank is |P| - 2 minus its tube count.
     """
     tubings = list(recursive_tubings(P))
     vertices = sorted(
         (tuple(sorted(t)) for t in tubings if len(t) == P.n - 2)
     )
     vertex_sets = [frozenset(v) for v in vertices]
-    return {
-        tuple(sorted(t)): frozenset(
+    return [
+        (P.n - 2 - len(t), tuple(sorted(t)), frozenset(
             vid for vid, vset in enumerate(vertex_sets) if t <= vset
-        )
+        ))
         for t in tubings
-    }
+    ]
 
+
+def oracle_incidence(faces) -> tuple[list[int], list[int], list[tuple], list[tuple]]:
+    """Vertex-facet incidence read off (rank, key, vertex ids) face records.
+
+    Returns the adjacency rows (vertices by id, then the facets in the
+    order given), their colours (0 for a vertex, 1 for a facet), and the
+    vertex and facet keys in the same orders.
+    """
+    dim = max(rank for rank, _, _ in faces)
+    vertices = sorted((min(ids), key) for rank, key, ids in faces if rank == 0)
+    facets = [(key, ids) for rank, key, ids in faces if rank == dim - 1]
+    shift = len(vertices)
+    rows = [0] * (shift + len(facets))
+    for f, (_, ids) in enumerate(facets):
+        for v in ids:
+            rows[v] |= 1 << (shift + f)
+            rows[shift + f] |= 1 << v
+    return (rows, [0] * shift + [1] * len(facets), [key for _, key in vertices],
+            [key for key, _ in facets])
 
 
 def expanded_permutohedron(n: int) -> tuple[list[tuple], list[tuple[int, int]]]:

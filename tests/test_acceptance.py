@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from posetassoc import (
     autonomous_subsets,
@@ -18,22 +18,19 @@ from posetassoc import (
     classify_tubes,
     comparability_graph,
     complete_graded,
+    connected_posets,
     decompose,
     enumerate_tubes,
     enumerate_tubings,
     f_vector,
-    face_lattice,
     flip,
     flip_sequence,
     flip_tubing,
     h_vector,
     is_proper_tubing,
     is_weakly_increasing,
-    lattices_equivalent,
     maximal_tubings,
     permutohedron_f_vector,
-    permutohedron_lattice,
-    polygon_census,
     polytopes_equivalent,
     poset_isomorphism,
     reconstruct,
@@ -42,7 +39,7 @@ from posetassoc import (
 )
 from posetassoc.comparability import canonical_rows
 
-from conftest import corpus
+from conftest import corpus, expanded_permutohedron
 
 
 def report(number: int, description: str, started: float, budget: float) -> None:
@@ -64,7 +61,8 @@ def test_criterion_2_octagon_pair():
     started = time.time()
     assert f_vector(complete_graded((2, 2))) == (8, 8, 1)
     assert two_face_census(complete_graded((1, 2, 2)))[8] >= 1
-    assert set(polygon_census(permutohedron_lattice(4))) <= {4, 6}
+    faces, _ = expanded_permutohedron(4)
+    assert {len(ids) for rank, _, ids in faces if rank == 2} <= {4, 6}
     report(
         2,
         "octagon f-vector, octagonal 2-face, permutohedron census in {4, 6}",
@@ -76,7 +74,7 @@ def test_criterion_2_octagon_pair():
 def test_criterion_3_permutohedron_equivalence():
     started = time.time()
     P = complete_graded((2, 1, 2))
-    assert lattices_equivalent(face_lattice(P), permutohedron_lattice(4))
+    assert polytopes_equivalent(P, 4)
     f = f_vector(P)
     assert f == (24, 36, 14, 1)
     assert f == permutohedron_f_vector(4)
@@ -87,7 +85,7 @@ def test_criterion_4_same_f_vector_not_equivalent():
     started = time.time()
     P = complete_graded((1, 2, 2))
     assert f_vector(P) == permutohedron_f_vector(4)
-    assert not lattices_equivalent(face_lattice(P), permutohedron_lattice(4))
+    assert not polytopes_equivalent(P, 4)
     report(
         4,
         "permuted composition keeps the f-vector but not the face lattice",
@@ -101,16 +99,13 @@ def test_equivalences_that_invariants_cannot_decide():
     # the f-vector and the polygon census {4: 6, 6: 8}; only the incidence
     # isomorphism tells them apart or joins them
     started = time.time()
-    graded_131 = face_lattice(complete_graded((1, 3, 1)))
-    assert polygon_census(graded_131) == polygon_census(permutohedron_lattice(4))
-    assert lattices_equivalent(graded_131, permutohedron_lattice(4))
-    assert lattices_equivalent(face_lattice(complete_graded((1, 1, 3))), graded_131)
-    assert lattices_equivalent(
-        face_lattice(complete_graded((1, 4, 1))), permutohedron_lattice(5)
-    )
-    assert not lattices_equivalent(
-        face_lattice(complete_graded((1, 2, 2))), permutohedron_lattice(4)
-    )
+    graded_131 = complete_graded((1, 3, 1))
+    faces, _ = expanded_permutohedron(4)
+    assert two_face_census(graded_131) == Counter(len(ids) for rank, _, ids in faces if rank == 2)
+    assert polytopes_equivalent(graded_131, 4)
+    assert polytopes_equivalent(complete_graded((1, 1, 3)), graded_131)
+    assert polytopes_equivalent(complete_graded((1, 4, 1)), 5)
+    assert not polytopes_equivalent(complete_graded((1, 2, 2)), 4)
     elapsed = time.time() - started
     print(f"PASS graded(1,3,1), graded(1,1,3), graded(1,4,1) are permutohedra ({elapsed:.2f}s)")
     assert elapsed < 5.0
@@ -278,3 +273,20 @@ def test_criterion_11_the_papers_family_observed():
         started,
         30.0,
     )
+
+
+def test_the_papers_family_is_every_permutohedron():
+    # criterion 11's family is exact on the catalog: for 4 <= n <= 6 no
+    # other connected poset's associahedron is a permutohedron
+    started = time.time()
+    classes = []
+    for n in range(4, 7):
+        found = {canonical_form(P) for P in connected_posets(n) if polytopes_equivalent(P, n - 1)}
+        family = [tuple(p for p in (a, 1, n - 1 - a) if p) for a in range(n)]
+        listed = {canonical_form(complete_graded(parts)) for parts in [*family, (1, n - 2, 1)]}
+        assert found == listed, n
+        classes.append(len(found))
+    assert classes == [5, 6, 7]
+    elapsed = time.time() - started
+    print(f"PASS the permutohedra with 4-6 elements are exactly the family ({elapsed:.2f}s)")
+    assert elapsed < 10.0

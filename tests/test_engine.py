@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -13,16 +14,18 @@ from posetassoc import (
     enumerate_tubes,
     enumerate_tubings,
     f_vector,
-    face_lattice,
     flip,
-    flip_tubing,
     flip_tubings,
     maximal_tubings,
+    two_face_census,
 )
+from posetassoc.lattice import _tubing_incidence
+from posetassoc.posets import iter_bits
 
 from conftest import (
     connected_posets_7_to_9,
     corpus,
+    oracle_incidence,
     recursive_f_vector,
     recursive_tubings,
     scan_face_vertices,
@@ -61,9 +64,21 @@ class TestCatalogAgainstSlowPath:
             assert maximal_tubings(P) == want
 
     def test_face_lattice_vertex_sets(self, connected_upto_6):
+        # the incidence and the 2-face census against every face's vertex set
         for P in connected_upto_6:
-            faces = {face.key: face.vertices for face in face_lattice(P).faces}
-            assert faces == scan_face_vertices(P)
+            faces = scan_face_vertices(P)
+            rows, colors, vertex_keys, facet_keys = oracle_incidence(faces)
+            verts = len(vertex_keys)
+            want = {(frozenset(vertex_keys[v]), tube) for f, (tube,) in enumerate(facet_keys)
+                    for v in iter_bits(rows[verts + f])}
+            fast_rows, fast_colors = _tubing_incidence(P)
+            assert fast_colors == colors
+            tubes = enumerate_tubes(P)
+            held = [frozenset(tubes[t] for t in iter_bits(row >> verts)) for row in fast_rows[:verts]]
+            assert {(tubing, tube) for tubing in held for tube in tubing} == want, P
+            if P.n >= 4:
+                census = Counter(len(ids) for rank, _, ids in faces if rank == 2)
+                assert two_face_census(P) == census, P
 
 
 class TestRandomAgainstSlowPath:
@@ -94,7 +109,6 @@ class TestRandomAgainstSlowPath:
         assume(len(tubings) <= budget)
         for S in subsets:
             images = list(flip_tubings(P, S, tubings))
-            assert images == [flip_tubing(P, S, T) for T in tubings]
             assert [len(image) for image in images] == [len(T) for T in tubings]
             assert set(images) == set(enumerate_tubings(flip(P, S)))
             assert list(flip_tubings(flip(P, S), S, images)) == tubings

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -16,13 +17,12 @@ from posetassoc import (
     complete_graded,
     connected_posets,
     dual,
-    face_lattice,
-    permutohedron_lattice,
+    f_vector,
 )
 from posetassoc import comparability
 from posetassoc.comparability import canonical_rows
 from posetassoc.isomorphism import find_isomorphism
-from posetassoc.lattice import _incidence
+from posetassoc.lattice import _permutohedron_incidence, _tubing_incidence
 
 from conftest import backtrack_isomorphism, connected_posets_7_to_9, product_canonical_rows
 
@@ -129,9 +129,9 @@ class TestFindIsomorphismAgainstBacktracking:
         assert find_isomorphism(P.up, dual(P).up) == backtrack_isomorphism(P.up, dual(P).up)
 
     def test_four_element_incidences(self):
-        # the 4-element lattices are polygons, so the hexagon joins them
-        incidences = [_incidence(face_lattice(P)) for P in connected_posets(4)]
-        incidences.append(_incidence(permutohedron_lattice(3)))
+        # the 4-element polytopes are polygons, so the hexagon joins them
+        incidences = [_tubing_incidence(P) for P in connected_posets(4)]
+        incidences.append(_permutohedron_incidence(3))
         found = 0
         for rows_a, colors_a in incidences:
             for rows_b, colors_b in incidences:
@@ -142,19 +142,20 @@ class TestFindIsomorphismAgainstBacktracking:
 
     def test_five_element_incidences(self):
         # The backtracking oracle stalls on about a hundred of these pairs
-        # (the blind search the engine replaced), so it checks each lattice
+        # (the blind search the engine replaced), so it checks each incidence
         # against itself, and networkx's VF2++ decides every pair with equal
-        # rank counts; each witness is checked edge by edge and colour by colour.
-        lattices = [face_lattice(P) for P in connected_posets(5)]
-        incidences = [_incidence(L) for L in lattices]
+        # f-vectors; each witness is checked edge by edge and colour by colour.
+        posets = connected_posets(5)
+        f_vectors = [f_vector(P) for P in posets]
+        incidences = [_tubing_incidence(P) for P in posets]
         for rows, colors in incidences:
             assert find_isomorphism(rows, rows, colors, colors) == backtrack_isomorphism(
                 rows, rows, colors, colors
             )
         graphs = [colored_graph(rows, colors) for rows, colors in incidences]
         answers = []
-        for a, b in itertools.combinations_with_replacement(range(len(lattices)), 2):
-            if lattices[a].rank_counts() != lattices[b].rank_counts():
+        for a, b in itertools.combinations_with_replacement(range(len(posets)), 2):
+            if f_vectors[a] != f_vectors[b]:
                 continue
             (rows_a, colors_a), (rows_b, colors_b) = incidences[a], incidences[b]
             witness = find_isomorphism(rows_a, rows_b, colors_a, colors_b)
@@ -166,6 +167,22 @@ class TestFindIsomorphismAgainstBacktracking:
                 assert relabel(rows_a, witness) == rows_b
             answers.append(witness is not None)
         assert 0 < answers.count(False) < answers.count(True)
+
+    def test_one_trial_colouring_at_a_time(self):
+        # Every vertex of the permutohedron is a candidate for the first
+        # branch.  On CPython 3.11 a search holding one colouring per
+        # candidate at once peaks at 10 MiB here, one that builds them
+        # lazily at 1.5 MiB.
+        rows_a, colors_a = _tubing_incidence(complete_graded((3, 1, 3)))
+        rows_b, colors_b = _permutohedron_incidence(6)
+        tracemalloc.start()
+        try:
+            witness = find_isomorphism(rows_a, rows_b, colors_a, colors_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness is not None
+        assert peak < 4 * 2**20, peak
 
 
 def colored_graph(rows, colors) -> nx.Graph:

@@ -1,19 +1,23 @@
-"""Face lattices, the permutohedron oracle, equivalence, and face products."""
+"""Equivalence, 2-faces, the permutohedron, and face products, against the
+face oracles of ``conftest``."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
 from posetassoc import (
+    DisconnectedPoset,
     ElementNotFound,
     NotATubing,
     Poset,
     QuotientNotPoset,
     TooSmall,
+    antichain,
     autonomous_subsets,
     canonical_form,
     chain,
@@ -22,23 +26,19 @@ from posetassoc import (
     enumerate_tubes,
     enumerate_tubings,
     f_vector,
-    face_lattice,
     face_product_decomposition,
     flip,
     flip_tubing,
-    lattices_equivalent,
     permutohedron_f_vector,
-    permutohedron_lattice,
-    polygon_census,
     polytopes_equivalent,
     quotient_with_map,
     two_face_census,
 )
 from posetassoc.isomorphism import find_isomorphism
-from posetassoc.lattice import _incidence, _permutohedron_incidence, _tubing_incidence
+from posetassoc.lattice import _permutohedron_incidence, _tubing_incidence
 from posetassoc.posets import iter_bits
 
-from conftest import corpus, expanded_permutohedron
+from conftest import corpus, expanded_permutohedron, oracle_incidence, scan_face_vertices
 
 
 def stirling2_by_inclusion_exclusion(n: int, k: int) -> int:
@@ -47,55 +47,56 @@ def stirling2_by_inclusion_exclusion(n: int, k: int) -> int:
     ) // math.factorial(k)
 
 
+def rank_counts(faces) -> tuple[int, ...]:
+    counts = Counter(rank for rank, _, _ in faces)
+    return tuple(counts[rank] for rank in range(len(counts)))
+
+
 class TestFaceLattice:
+    """The tubing complex's vertex-facet incidence."""
+
     def test_two_chain_is_a_point(self):
-        L = face_lattice(chain(2))
-        assert L.dim == 0 and L.rank_counts() == (1,) and not L.covers
+        assert f_vector(chain(2)) == (1,)
+        assert _tubing_incidence(chain(2)) == ([0], [0])
 
     def test_pentagon(self):
-        L = face_lattice(chain(4))
-        assert L.rank_counts() == (5, 5, 1)
-        assert len(L.faces) == 11
+        assert f_vector(chain(4)) == (5, 5, 1)
+        rows, colors = _tubing_incidence(chain(4))
+        assert colors == [0] * 5 + [1] * 5
+        assert all(row.bit_count() == 2 for row in rows)
 
     def test_rank_counts_equal_f_vector(self, connected_upto_5):
         for P in connected_upto_5:
-            assert face_lattice(P).rank_counts() == f_vector(P)
-
-    def test_unique_top_face(self, connected_upto_4):
-        for P in connected_upto_4:
-            L = face_lattice(P)
-            tops = L.faces_of_rank(L.dim)
-            assert len(tops) == 1
-            assert len(tops[0].vertices) == len(L.faces_of_rank(0))
-
-    def test_covers_climb_one_rank(self, connected_upto_4):
-        for P in connected_upto_4:
-            L = face_lattice(P)
-            for child, parent in L.covers:
-                assert L.faces[parent].rank == L.faces[child].rank + 1
-                assert L.faces[child].vertices <= L.faces[parent].vertices
+            f = f_vector(P)
+            _, colors = _tubing_incidence(P)
+            assert (colors.count(0), colors.count(1)) == (f[0], f[-2] if P.n > 2 else 0)
 
     def test_requires_connected(self):
-        from posetassoc import DisconnectedPoset, antichain
-
         with pytest.raises(DisconnectedPoset):
-            face_lattice(antichain(2))
+            _tubing_incidence(antichain(2))
+        with pytest.raises(DisconnectedPoset):
+            polytopes_equivalent(antichain(2), 1)
 
 
 class TestPermutohedron:
     def test_segment(self):
-        L = permutohedron_lattice(2)
-        assert L.dim == 1 and L.rank_counts() == (2, 1)
+        assert _permutohedron_incidence(2) == ([0b0100, 0b1000, 0b01, 0b10], [0, 0, 1, 1])
 
     def test_hexagon(self):
-        assert permutohedron_lattice(3).rank_counts() == (6, 6, 1)
+        rows, colors = _permutohedron_incidence(3)
+        assert colors == [0] * 6 + [1] * 6
+        assert all(row.bit_count() == 2 for row in rows)
 
     def test_three_dimensional(self):
-        assert permutohedron_lattice(4).rank_counts() == (24, 36, 14, 1)
+        # the truncated octahedron: eight hexagons and six squares
+        rows, colors = _permutohedron_incidence(4)
+        assert colors == [0] * 24 + [1] * 14
+        assert all(row.bit_count() == 3 for row in rows[:24])
+        assert Counter(row.bit_count() for row in rows[24:]) == {6: 8, 4: 6}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_f_vector_formulas_and_lattice_agree(self, n):
-        from_lattice = permutohedron_lattice(n).rank_counts()
+        from_lattice = rank_counts(expanded_permutohedron(n)[0])
         assert permutohedron_f_vector(n) == from_lattice
         by_formula = tuple(
             math.factorial(n - i) * stirling2_by_inclusion_exclusion(n, n - i)
@@ -110,52 +111,58 @@ class TestPermutohedron:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_block_expansion(self, n):
-        L = permutohedron_lattice(n)
-        faces, covers = expanded_permutohedron(n)
-        assert L.dim == n - 1
-        assert [(f.rank, f.key, f.vertices) for f in L.faces] == faces
-        assert list(L.covers) == covers
+        # vertex v is the v-th permutation of 0..n-1, facet m - 1 the subset
+        # mask m; the expansion's keys are ordered partitions of 1..n
+        faces, _ = expanded_permutohedron(n)
+        assert rank_counts(faces) == permutohedron_f_vector(n)
+        rows, _, keys, facets = oracle_incidence(faces)
+        want = {(keys[v], facets[f][0]) for f in range(len(facets))
+                for v in iter_bits(rows[len(keys) + f])}
+        perms = list(itertools.permutations(range(1, n + 1)))
+        got_rows, _ = _permutohedron_incidence(n)
+        got = {(tuple((x,) for x in perms[v]), tuple(x + 1 for x in iter_bits(f + 1)))
+               for f, row in enumerate(got_rows[len(perms):]) for v in iter_bits(row)}
+        assert got == want
 
     def test_covers_merge_adjacent_blocks(self):
-        L = permutohedron_lattice(3)
-        for child, parent in L.covers:
-            assert L.faces[parent].rank == L.faces[child].rank + 1
-            assert L.faces[child].vertices <= L.faces[parent].vertices
+        # two vertices span an edge exactly when they share all facets but
+        # one, and then they differ by swapping two adjacent letters
+        n = 4
+        perms = list(itertools.permutations(range(n)))
+        rows, _ = _permutohedron_incidence(n)
+        for u, v in itertools.combinations(range(len(perms)), 2):
+            shared = (rows[u] & rows[v]).bit_count()
+            moved = [i for i in range(n) if perms[u][i] != perms[v][i]]
+            swapped = len(moved) == 2 and moved[1] == moved[0] + 1
+            assert (shared == n - 2) == swapped
 
 
 class TestEquivalence:
     def test_reflexive(self, connected_upto_4):
         for P in connected_upto_4:
-            L = face_lattice(P)
-            assert lattices_equivalent(L, L)
+            assert polytopes_equivalent(P, P)
 
     def test_pentagon_vs_octagon(self):
-        assert not lattices_equivalent(
-            face_lattice(chain(4)), face_lattice(complete_graded((2, 2)))
-        )
+        assert not polytopes_equivalent(chain(4), complete_graded((2, 2)))
 
     @pytest.mark.parametrize(
         "parts,n",
         [((1, 1, 1), 2), ((2, 1, 1), 3), ((1, 1, 2), 3), ((2, 1, 2), 4)],
     )
     def test_saturated_middle_gives_permutohedron(self, parts, n):
-        assert lattices_equivalent(
-            face_lattice(complete_graded(parts)), permutohedron_lattice(n)
-        )
+        assert polytopes_equivalent(complete_graded(parts), n)
 
     def test_fat_bottom_is_not_a_permutohedron(self):
-        assert not lattices_equivalent(
-            face_lattice(complete_graded((1, 2, 2))), permutohedron_lattice(4)
-        )
+        assert not polytopes_equivalent(complete_graded((1, 2, 2)), 4)
 
     def test_symmetric(self):
         pairs = [
-            (face_lattice(chain(4)), permutohedron_lattice(3)),
-            (face_lattice(complete_graded((2, 1, 2))), permutohedron_lattice(4)),
-            (face_lattice(complete_graded((1, 2, 2))), permutohedron_lattice(4)),
+            (chain(4), complete_graded((1, 1, 2))),
+            (complete_graded((2, 1, 2)), complete_graded((1, 3, 1))),
+            (complete_graded((1, 2, 2)), complete_graded((2, 1, 2))),
         ]
         for A, B in pairs:
-            assert lattices_equivalent(A, B) == lattices_equivalent(B, A)
+            assert polytopes_equivalent(A, B) == polytopes_equivalent(B, A)
 
     def test_equivalent_to_relabeled_self(self):
         P = complete_graded((1, 2, 1))
@@ -166,73 +173,80 @@ class TestEquivalence:
                 for i in range(P.n)
             ),
         )
-        assert lattices_equivalent(face_lattice(P), face_lattice(Q))
+        assert polytopes_equivalent(P, Q)
 
 
 class TestPolytopesEquivalent:
-    """``polytopes_equivalent`` against ``lattices_equivalent`` on built lattices.
+    """``polytopes_equivalent`` against an isomorphism of the scan incidences.
 
-    Each catalog poset's face lattice is built once; the answers must agree
-    on every pair of connected posets with 2-5 elements and equal f-vectors,
-    on each 6-element poset against the first of its f-vector group, and on
-    every poset with a permutohedral f-vector against the permutohedron.
+    Each catalog poset's faces are scanned once; the answers must agree on
+    every pair of connected posets with 2-5 elements and equal f-vectors, on
+    each 6-element poset against the first of its f-vector group, and on
+    every poset with a permutohedral f-vector against the block expansion
+    of the permutohedron.
     """
 
     @pytest.fixture(scope="class")
     def catalog(self):
         posets = corpus(6)
-        return posets, [face_lattice(P) for P in posets]
+        return posets, [scan_face_vertices(P) for P in posets]
 
     def test_agrees_with_the_lattices(self, catalog):
-        posets, lattices = catalog
+        posets, scans = catalog
+        incidences = [oracle_incidence(faces)[:2] for faces in scans]
         groups: dict[tuple[int, ...], list[int]] = {}
-        for i, L in enumerate(lattices):
-            groups.setdefault(L.rank_counts(), []).append(i)
+        for i, faces in enumerate(scans):
+            groups.setdefault(rank_counts(faces), []).append(i)
         pairs = []
         for members in groups.values():
             small = [i for i in members if posets[i].n <= 5]
             pairs += itertools.combinations(small, 2)
             pairs += [(members[0], i) for i in members[1:] if posets[i].n == 6]
-        assert sum(posets[i].n <= 5 for i, _ in pairs) == 244
+        assert sum(posets[i].n <= 5 for i, _ in pairs) == 244 and len(pairs) == 452
         answers = set()
         for i, j in pairs:
-            want = lattices_equivalent(lattices[i], lattices[j])
+            (rows_a, colors_a), (rows_b, colors_b) = incidences[i], incidences[j]
+            want = find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
             assert polytopes_equivalent(posets[i], posets[j]) == want, (posets[i], posets[j])
             answers.add(want)
+        permutohedra = {n: oracle_incidence(expanded_permutohedron(n)[0])[:2] for n in range(1, 6)}
         permutohedral = 0
         for i, P in enumerate(posets):
-            if lattices[i].rank_counts() == permutohedron_f_vector(P.n - 1):
-                want = lattices_equivalent(lattices[i], permutohedron_lattice(P.n - 1))
+            if rank_counts(scans[i]) == permutohedron_f_vector(P.n - 1):
+                (rows_a, colors_a), (rows_b, colors_b) = incidences[i], permutohedra[P.n - 1]
+                want = find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
                 assert polytopes_equivalent(P, P.n - 1) == want, P
                 answers.add(want)
                 permutohedral += 1
         assert answers == {False, True} and permutohedral > 10
 
     def test_tubing_incidence_matches_the_lattice(self, catalog):
-        for P, L in zip(*catalog):
+        # the facet rows transpose the vertex rows; test_engine compares
+        # the pairs themselves with the scan
+        for P in catalog[0]:
             rows, colors = _tubing_incidence(P)
             tubes = enumerate_tubes(P)
             verts = colors.count(0)
             assert colors == [0] * verts + [1] * len(tubes)
             # a vertex's row holds its tubes' facets, shifted past the vertices
             held = [frozenset(tubes[t] for t in iter_bits(row >> verts)) for row in rows[:verts]]
-            direct = {(tubing, (tube,)) for tubing in held for tube in tubing}
-            assert direct == {(held[v], (tube,)) for f, tube in enumerate(tubes)
-                              for v in iter_bits(rows[verts + f])}
-            lattice_rows, lattice_colors = _incidence(L)
-            assert lattice_colors == colors
-            keys = [frozenset(face.key) for face in L.faces_of_rank(0)]
-            facets = [face.key for face in L.faces_of_rank(L.dim - 1)]
-            from_lattice = {(keys[v], facet) for f, facet in enumerate(facets)
-                            for v in iter_bits(lattice_rows[verts + f])}
-            assert direct == from_lattice, P
+            assert all(len(tubing) == P.n - 2 for tubing in held)
+            direct = {(tubing, tube) for tubing in held for tube in tubing}
+            assert direct == {(held[v], tube) for f, tube in enumerate(tubes)
+                              for v in iter_bits(rows[verts + f])}, P
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_permutohedron_incidence_matches_the_lattice(self, n):
+        # the facet rows transpose the vertex rows; a vertex lies in n - 1
+        # facets, and the facet of a k-subset holds k! (n - k)! vertices
         rows, colors = _permutohedron_incidence(n)
-        lattice_rows, lattice_colors = _incidence(permutohedron_lattice(n))
-        assert colors == lattice_colors
-        assert find_isomorphism(rows, lattice_rows, colors, lattice_colors) is not None
+        verts = math.factorial(n)
+        assert colors == [0] * verts + [1] * (2**n - 2)
+        assert all(row.bit_count() == n - 1 for row in rows[:verts])
+        for f, row in enumerate(rows[verts:]):
+            k = (f + 1).bit_count()
+            assert row.bit_count() == math.factorial(k) * math.factorial(n - k)
+            assert all(rows[v] >> (verts + f) & 1 for v in iter_bits(row))
 
     def test_zero_dimensional(self):
         assert polytopes_equivalent(chain(2), 1)
@@ -253,13 +267,14 @@ class TestPolygonCensus:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_permutohedron_two_faces(self, n):
-        census = polygon_census(permutohedron_lattice(n))
-        assert set(census) <= {4, 6}
+        faces, _ = expanded_permutohedron(n)
+        assert {len(ids) for rank, _, ids in faces if rank == 2} <= {4, 6}
 
     def test_lattice_and_direct_census_agree(self, connected_upto_5):
         for P in connected_upto_5:
             if P.n >= 4:
-                assert polygon_census(face_lattice(P)) == two_face_census(P)
+                census = Counter(len(ids) for rank, _, ids in scan_face_vertices(P) if rank == 2)
+                assert two_face_census(P) == census
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
