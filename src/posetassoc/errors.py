@@ -69,9 +69,5 @@ class MalformedDecomposition(DomainError):
     """Star marks and block counts of a decomposition do not line up."""
 
 
-class QuotientNotPoset(InternalError):
-    """Contracting tubes produced a relation cycle; indicates a bug."""
-
-
 class PosetTooLarge(DomainError):
     """Enumeration refused without --force; the poset exceeds the size guard."""

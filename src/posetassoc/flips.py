@@ -115,7 +115,7 @@ class Decomposition:
             self.lower, tuple(reversed(self.blocks)), self.upper, self.has_remainder
         )
 
-    # -- serialization (the remainder flag is inferred, not stored) -------
+    # -- serialization (the remainder flag is not stored) ----------------
 
     def to_dict(self, P: Poset) -> dict:
         def seq_out(seq: DecoratedSequence) -> list[dict]:
@@ -129,24 +129,6 @@ class Decomposition:
             "M": [sorted(P.labels_of(b)) for b in self.blocks],
             "U": seq_out(self.upper),
         }
-
-    @classmethod
-    def from_dict(cls, P: Poset, data: dict) -> "Decomposition":
-        def seq_in(entries: list[dict]) -> DecoratedSequence:
-            return DecoratedSequence(
-                tuple(P.mask_of(entry["set"]) for entry in entries),
-                tuple(bool(entry["star"]) for entry in entries),
-            )
-
-        try:
-            lower = seq_in(data["L"])
-            upper = seq_in(data["U"])
-            blocks = tuple(P.mask_of(labs) for labs in data["M"])
-        except (KeyError, TypeError) as exc:
-            raise MalformedDecomposition(f"bad decomposition payload: {exc}") from None
-        stars = lower.star_count + upper.star_count
-        has_remainder = len(blocks) == stars + 1
-        return cls(lower, blocks, upper, has_remainder)
 
 
 def classify_tubes(
@@ -242,8 +224,14 @@ def reconstruct(
 
     The lower chain grows by its recorded sets, consuming blocks from the
     front at starred steps; the upper chain consumes blocks from the back.
+    A subset, block or set naming an element outside P raises
+    ElementNotFound.
     """
     s_mask = as_mask(subset)
+    named = s_mask
+    for mask in decomposition.blocks + decomposition.lower.sets + decomposition.upper.sets:
+        named |= mask
+    _require_inside(P, named)
     decomposition.validate(s_mask)
     blocks = decomposition.blocks
     tubes = set()

@@ -16,10 +16,9 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .errors import MalformedInput, NotATubing, QuotientNotPoset, TooSmall
+from .errors import MalformedInput, NotATubing, TooSmall
 from .isomorphism import find_isomorphism
-from .posets import (Poset, _require_inside, _transitive_closure, _union_rows, as_mask,
-                     iter_bits, mask_members)
+from .posets import Poset, _contract_rows, as_mask, iter_bits, mask_members
 from .tubings import TubeComplex, _require_usable, f_vector, is_proper_tubing
 
 # Vertex-facet incidence graph: adjacency rows (vertices first) and colours.
@@ -131,50 +130,7 @@ def two_face_census(P: Poset) -> Counter[int]:
     return Counter(sizes.values())
 
 
-# -- quotients and face products ----------------------------------------------
-
-
-def quotient_with_map(
-    P: Poset, tau: int | Iterable[int], blocks: Sequence[int]
-) -> tuple[Poset, tuple[int | None, ...]]:
-    """Contract each block inside tau to a single element.
-
-    Returns the quotient poset (order projected and transitively closed)
-    and the index map from P's elements to quotient elements, None outside
-    tau.  Contracted elements are labeled by their sorted member labels
-    joined with "+".  Raises ElementNotFound if tau or a block names an
-    element outside P, and QuotientNotPoset if projecting creates a cycle.
-    """
-    tau_mask = _require_inside(P, as_mask(tau))
-    class_masks: list[int] = []
-    placed = 0
-    for block in blocks:
-        if _require_inside(P, block) & ~tau_mask:
-            raise ValueError("blocks must lie inside tau")
-        if block & placed:
-            raise ValueError("blocks must be disjoint")
-        placed |= block
-    proj: list[int | None] = [None] * P.n
-    for i in iter_bits(tau_mask):
-        if proj[i] is not None:
-            continue
-        block = next((b for b in blocks if b & (1 << i)), 1 << i)
-        for j in iter_bits(block):
-            proj[j] = len(class_masks)
-        class_masks.append(block)
-    labels = ["+".join(sorted(P.labels_of(mask))) for mask in class_masks]
-    image = [0 if c is None else 1 << c for c in proj]
-    rows = _transitive_closure([
-        _union_rows(image, _union_rows(P.up, mask)) & ~(1 << a)
-        for a, mask in enumerate(class_masks)
-    ])
-    for i in range(len(rows)):
-        if rows[i] & (1 << i):
-            raise QuotientNotPoset(
-                f"contracting within {{{', '.join(P.labels_of(tau_mask))}}}"
-                " creates a relation cycle"
-            )
-    return Poset(labels, rows), tuple(proj)
+# -- face products -------------------------------------------------------------
 
 
 def face_product_decomposition(P: Poset, tubing: Iterable[int]) -> list[Poset]:
@@ -182,6 +138,8 @@ def face_product_decomposition(P: Poset, tubing: Iterable[int]) -> list[Poset]:
 
     For each tube (and the whole poset), contract its maximal proper
     subtubes in the tubing; factors that collapse to a point are dropped.
+    A contracted element is labelled by its members' sorted labels joined
+    with "+".
     """
     tubes = frozenset(as_mask(t) for t in tubing)
     if not is_proper_tubing(P, tubes):
@@ -194,7 +152,11 @@ def face_product_decomposition(P: Poset, tubing: Iterable[int]) -> list[Poset]:
         maximal = [
             s for s in inside if not any(s != t and s & ~t == 0 for t in inside)
         ]
-        quotient, _ = quotient_with_map(P, tau, maximal)
-        if quotient.n >= 2:
-            factors.append(quotient)
+        # the factor's elements in order: each maximal subtube, merged, and
+        # each element of tau outside them (disjoint, so their sum is their union)
+        classes = sorted([*maximal, *(1 << i for i in iter_bits(tau & ~sum(maximal)))],
+                         key=lambda c: c & -c)
+        if len(classes) >= 2:
+            labels = ["+".join(sorted(P.labels_of(c))) for c in classes]
+            factors.append(Poset(labels, _contract_rows(P.up, tau, maximal)))
     return factors

@@ -17,9 +17,11 @@ A relabelling is a union too.  With ``image[old]`` holding the new bit or
 bits of element ``old`` (0 to drop it), the image of a row is
 ``_union_rows(image, row)``; restriction, substitution, quotients,
 canonical forms and the isomorphism check all re-index this one way.
-Restriction (``_restrict_rows``) and the contraction of one convex set
-(``_contract_rows``, a restriction after merging the set's rows) work on
-bare rows, so the f-vector recursion relabels without building posets.
+Restriction (``_restrict_rows``) and the contraction of disjoint convex
+sets (``_contract_rows``, a restriction after merging each set's rows) work
+on bare rows.  They are the package's one restriction and one contraction:
+the f-vector recursion relabels with them without building posets, and
+face products build their factors from them.
 """
 
 from __future__ import annotations
@@ -116,18 +118,23 @@ def _restrict_rows(rows: Sequence[int], kept: int) -> tuple[int, ...]:
     return tuple([_union_rows(image, rows[old] & kept) for old in members])
 
 
-def _contract_rows(rows: Sequence[int], convex: int) -> tuple[int, ...]:
-    """The order with the convex set ``convex`` contracted to one element.
+def _contract_rows(rows: Sequence[int], within: int, blocks: Iterable[int]) -> tuple[int, ...]:
+    """The order on ``within`` with each of the disjoint convex ``blocks`` contracted.
 
-    The set's lowest member stands for the set and the others are dropped.
-    Convexity makes the set's strict upset closed and creates no cycle, so
-    every element below the set gains that upset and the result is closed.
+    A block's lowest member stands for the block and its other members are
+    dropped.  The blocks merge one at a time: a convex block's strict upset
+    is closed and merging it creates no cycle, so every element below the
+    block gains that upset and the relation stays closed.  Each block must
+    therefore stay convex after the earlier merges, which holds for one
+    convex set and for the maximal subtubes of a region of a proper tubing.
     """
-    low = convex & -convex
-    above = _union_rows(rows, convex) & ~convex
-    merged = [row | low | above if row & convex else row for row in rows]
-    merged[low.bit_length() - 1] = above
-    return _restrict_rows(merged, (1 << len(rows)) - 1 & ~convex | low)
+    for block in blocks:
+        low = block & -block
+        above = _union_rows(rows, block) & ~block
+        rows = [row | low | above if row & block else row for row in rows]
+        rows[low.bit_length() - 1] = above
+        within &= ~block | low
+    return _restrict_rows(rows, within)
 
 
 def _cover_rows(rows: Sequence[int]) -> tuple[int, ...]:

@@ -276,7 +276,7 @@ def _facet_f_vector(up: tuple[int, ...], memo: dict[tuple[int, ...], tuple[int, 
     if n <= _BASE_SIZE:
         f = _base_f_vector(n, len(grown) - n - 1)
     else:
-        d = n - 2
+        d, full = n - 2, (1 << n) - 1
         sums = [0] * d
         for tube, count in _tube_groups(up, down, grown):
             size = tube.bit_count()
@@ -292,7 +292,7 @@ def _facet_f_vector(up: tuple[int, ...], memo: dict[tuple[int, ...], tuple[int, 
             rest = n - size + 1
             # a connected poset on 3 elements has 2 tubes
             outer = (_base_f_vector(rest, 2) if rest <= 3
-                     else _facet_f_vector(_contract_rows(up, tube), memo))
+                     else _facet_f_vector(_contract_rows(up, full, (tube,)), memo))
             for i, a in enumerate(inner):
                 a *= count
                 for j, b in enumerate(outer):

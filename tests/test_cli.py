@@ -742,13 +742,11 @@ class TestInternalError:
             DomainError,
             InternalError,
             MalformedDecomposition,
-            QuotientNotPoset,
             StructureViolation,
         )
 
         assert issubclass(InternalError, DomainError)
         assert issubclass(StructureViolation, InternalError)
-        assert issubclass(QuotientNotPoset, InternalError)
         assert not issubclass(MalformedDecomposition, InternalError)
 
 

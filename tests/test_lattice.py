@@ -7,15 +7,14 @@ import itertools
 import math
 from collections import Counter
 from functools import lru_cache
+from hashlib import sha256
 
 import pytest
 
 from posetassoc import (
     DisconnectedPoset,
-    ElementNotFound,
     NotATubing,
     Poset,
-    QuotientNotPoset,
     TooSmall,
     antichain,
     autonomous_subsets,
@@ -23,6 +22,7 @@ from posetassoc import (
     chain,
     classify_tubes,
     complete_graded,
+    connected_posets,
     enumerate_tubes,
     enumerate_tubings,
     f_vector,
@@ -31,12 +31,11 @@ from posetassoc import (
     flip_tubing,
     permutohedron_f_vector,
     polytopes_equivalent,
-    quotient_with_map,
     two_face_census,
 )
 from posetassoc.isomorphism import find_isomorphism
 from posetassoc.lattice import _permutohedron_incidence, _tubing_incidence
-from posetassoc.posets import iter_bits
+from posetassoc.posets import _contract_rows, iter_bits
 
 from conftest import corpus, expanded_permutohedron, oracle_incidence, scan_face_vertices
 
@@ -332,6 +331,23 @@ class TestFaceProducts:
         with pytest.raises(NotATubing):
             face_product_decomposition(chain(3), [tube])
 
+    def test_pinned_digest(self):
+        # labels, element order and rows of every factor of every tubing of
+        # the connected posets with 2-5 elements, tubings in sorted order
+        digest = sha256()
+        tubings = 0
+        for n in range(2, 6):
+            for P in connected_posets(n):
+                for tubing in sorted(enumerate_tubings(P), key=sorted):
+                    for F in face_product_decomposition(P, tubing):
+                        digest.update(repr((F.labels, F.up)).encode())
+                    digest.update(b";")
+                    tubings += 1
+        assert tubings == 2902
+        assert digest.hexdigest() == (
+            "f8061d6dc5a3c6aa381c49918d5f390e86036313af42e216bcd50b98a5d5c0f3"
+        )
+
     def test_product_of_factor_polynomials_is_face_census(self, connected_upto_5):
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))
@@ -345,23 +361,6 @@ class TestFaceProducts:
                 for factor in face_product_decomposition(P, T):
                     product = poly_mul(product, f_of_canonical(canonical_form(factor)))
                 assert tuple(census) == product
-
-
-class TestQuotient:
-    def test_contraction_across_a_middle_element_is_a_cycle(self):
-        # a < b < c: merging a and c puts the merged element both below
-        # and above b, which the closure turns into a self-loop.
-        P = chain(3)
-        with pytest.raises(QuotientNotPoset):
-            quotient_with_map(P, P.full_mask, [P.mask_of(["a", "c"])])
-
-    @pytest.mark.parametrize(
-        "tau, blocks",
-        [(0b11000, []), (-1, []), (0b111, [0b1000]), (0b111, [-3]), (0b111, [0b11, 0b1100])],
-    )
-    def test_mask_outside_the_poset(self, tau, blocks):
-        with pytest.raises(ElementNotFound):
-            quotient_with_map(chain(3), tau, blocks)
 
 
 def project_tubing(proj, tubes):
@@ -393,16 +392,21 @@ class TestFlipCommutesWithQuotients:
                         for s in inside
                         if not any(s != t and s & ~t == 0 for t in inside)
                     ]
-                    quotient, proj = quotient_with_map(P, tau, blocks)
-                    quotient_flipped, proj_f = quotient_with_map(
-                        flipped, tau, blocks
+                    # the factor's elements are the blocks and the rest of
+                    # tau, in the order of their lowest members
+                    classes = sorted(
+                        [*blocks, *(1 << i for i in iter_bits(tau & ~sum(blocks)))],
+                        key=lambda c: c & -c,
                     )
-                    assert proj == proj_f
+                    proj = {i: k for k, c in enumerate(classes) for i in iter_bits(c)}
+                    labels = [str(k) for k in range(len(classes))]
+                    quotient = Poset(labels, _contract_rows(P.up, tau, blocks))
+                    quotient_flipped = Poset(labels, _contract_rows(flipped.up, tau, blocks))
                     s_image = 0
                     for i in iter_bits(S):
                         s_image |= 1 << proj[i]
                     assert flip(quotient, s_image) == quotient_flipped
                     image = flip_tubing(P, S, T)
-                    lhs = project_tubing(proj_f, image - good)
+                    lhs = project_tubing(proj, image - good)
                     rhs = flip_tubing(quotient, s_image, project_tubing(proj, cls.bad))
                     assert lhs == rhs

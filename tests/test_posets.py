@@ -31,6 +31,7 @@ from posetassoc import (
     substitute,
 )
 from posetassoc.posets import (
+    _contract_rows,
     _is_transitive,
     _reach,
     _transitive_closure,
@@ -273,14 +274,15 @@ class TestFlip:
     def test_equals_substitution_of_dual(self, connected_upto_4):
         # contract the subset to a fresh point, substitute its dual back in,
         # and compare the relations by label
-        from posetassoc import quotient_with_map
-
         for P in connected_upto_4:
             for S in autonomous_subsets(P, 2):
-                Q, _ = quotient_with_map(P, P.full_mask, [S])
-                hole = next(lab for lab in Q.labels if lab not in P.labels or "+" in lab)
+                # the subset's lowest member stands for it in the contraction
+                low = S & -S
+                labels = ["hole" if 1 << i == low else P.labels[i]
+                          for i in mask_members(P.full_mask & ~S | low)]
+                Q = Poset(labels, _contract_rows(P.up, P.full_mask, [S]))
                 sub = dual(P.restrict(S))
-                built = substitute(Q, hole, sub)
+                built = substitute(Q, "hole", sub)
                 direct = flip(P, S)
                 expected = {
                     (direct.labels[i], direct.labels[j])
@@ -347,6 +349,17 @@ class TestRelationRows:
         rows = _transitive_closure([0b010, 0b100, 0b001])
         assert rows == [0b111, 0b111, 0b111]
 
+    def test_contract_disjoint_blocks(self):
+        # a < b < c < d < e: contracting {a, b} and {c, d} inside {a, ..., d}
+        # leaves a < c; the same blocks inside the whole chain leave a < c < e
+        rows = chain(5).up
+        assert _contract_rows(rows, 0b1111, [0b11, 0b1100]) == (0b10, 0)
+        assert _contract_rows(rows, 0b11111, [0b11, 0b1100]) == (0b110, 0b100, 0)
+        assert _contract_rows(rows, 0b11111, []) == rows
+        # graded(1, 2, 1): contracting the middle antichain gives a 3-chain
+        P = complete_graded((1, 2, 1))
+        assert _contract_rows(P.up, P.full_mask, [0b110]) == chain(3).up
+
     def test_reach_stays_inside(self):
         # a - b - c - d as a path; starting at a inside {a, b, d} never
         # reaches d because c is excluded.
@@ -364,8 +377,7 @@ class TestDerivedPosetPin:
         import itertools
         from hashlib import sha256
 
-        from posetassoc import (all_posets, connected_posets, enumerate_tubings,
-                                quotient_with_map)
+        from posetassoc import all_posets, connected_posets, enumerate_tubings
 
         digest = sha256()
 
@@ -394,7 +406,18 @@ class TestDerivedPosetPin:
                         s for s in inside
                         if not any(s != t and s & ~t == 0 for t in inside)
                     )
-                    R, proj = quotient_with_map(P, tau, maximal)
+                    # each maximal subtube merges into one element, labelled
+                    # by its members; the elements go by their lowest member
+                    classes = sorted(
+                        [*maximal, *(1 << i for i in mask_members(tau & ~sum(maximal)))],
+                        key=lambda c: c & -c,
+                    )
+                    labels = ["+".join(sorted(P.labels_of(c))) for c in classes]
+                    R = Poset(labels, _contract_rows(P.up, tau, maximal))
+                    proj = tuple(
+                        next((k for k, c in enumerate(classes) if c >> i & 1), None)
+                        for i in range(P.n)
+                    )
                     pin(R.labels, R.up, proj)
         for n in range(1, 9):
             for cuts in itertools.product((0, 1), repeat=n - 1):
