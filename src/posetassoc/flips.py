@@ -233,11 +233,15 @@ def reconstruct(
         named |= mask
     _require_inside(P, named)
     decomposition.validate(s_mask)
+    return _rebuild(decomposition)
+
+
+def _rebuild(decomposition: Decomposition) -> frozenset[int]:
+    """The loop of ``reconstruct``, for a decomposition it would accept."""
     blocks = decomposition.blocks
     tubes = set()
     for seq, order in ((decomposition.lower, blocks), (decomposition.upper, blocks[::-1])):
-        current = 0
-        taken = 0
+        current = taken = 0
         for part, star in zip(seq.sets, seq.starred):
             current |= part
             if star:
@@ -267,7 +271,8 @@ def flip_tubings(
         tubes = frozenset(as_mask(t) for t in tubing)
         classification = _classify(P, s_mask, tubes, upset_of)
         decomposition = decompose(P, s_mask, classification)
-        new_bad = reconstruct(flipped, s_mask, decomposition.reversed_blocks())
+        # reversal keeps every condition that decompose has validated
+        new_bad = _rebuild(decomposition.reversed_blocks())
         image = classification.good | new_bad
         if len(image) != len(tubes):
             raise StructureViolation(

@@ -1,23 +1,22 @@
 """Colour refinement and individualization–refinement search for digraphs.
 
-One engine serves comparability graphs (symmetric rows), posets (directed
-rows), and vertex-facet incidence structures (bipartite, two colors).
-``refine`` is the one colour refinement of the package: canonical forms in
-``comparability`` call it on one graph, ``find_isomorphism`` on the
-disjoint union of two.  ``find_isomorphism`` is the individualization–
-refinement scheme of McKay and Piperno ("Practical graph isomorphism, II",
-J. Symb. Comput. 2014): it gives one vertex of each graph a fresh colour
-and refines again after every assignment, so a branch that cannot extend
-dies as soon as the two colourings disagree.  On a symmetric graph
-(comparability graphs, vertex-facet incidences) the in-neighbours are the
-out-neighbours, so refinement reads only the out-lists; the signatures sort
-as they would with both, and the colours come out the same.  The
-bitmask-row helpers it uses live in ``posets``.
+One engine serves comparability graphs and the facet graphs of polytopes
+(symmetric rows) and posets (directed rows).  ``refine`` is the one colour
+refinement of the package: canonical forms in ``comparability`` call it on
+one graph, the isomorphism search on the disjoint union of two.
+``_isomorphisms`` is the individualization–refinement scheme of McKay and
+Piperno ("Practical graph isomorphism, II", J. Symb. Comput. 2014): it
+gives one vertex of each graph a fresh colour and refines again after every
+assignment, so a branch that cannot extend dies as soon as the two
+colourings disagree; ``find_isomorphism`` takes its first.  On a symmetric
+graph the in-neighbours are the out-neighbours, so refinement reads only
+the out-lists; the signatures sort as they would with both, and the colours
+come out the same.  The bitmask-row helpers it uses live in ``posets``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .posets import _union_rows, iter_bits
 
@@ -81,10 +80,15 @@ def find_isomorphism(
     colors1: Sequence | None = None,
     colors2: Sequence | None = None,
 ) -> tuple[int, ...] | None:
-    """Map vertices of graph 1 onto graph 2 preserving edges and colors.
+    """The least isomorphism of ``_isomorphisms``, or None when there is none."""
+    return next(_isomorphisms(out1, out2, colors1, colors2), None)
 
-    Returns the lexicographically least isomorphism (as the tuple of images
-    of vertex 0, 1, 2, ... of graph 1), or None when there is none.
+
+def _isomorphisms(out1: Sequence[int], out2: Sequence[int], colors1: Sequence | None = None,
+                  colors2: Sequence | None = None) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism from graph 1 onto graph 2 that preserves edges and
+    colours, once each, as the tuple of images of vertex 0, 1, 2, ... of
+    graph 1, in lexicographic order.
 
     The disjoint union, graph 2 shifted up by n vertices, is refined so both
     graphs are numbered by one colour table.  The search branches on the
@@ -93,13 +97,14 @@ def find_isomorphism(
     gives the pair one fresh colour and refines again, and a branch whose
     halves carry different colour multisets holds no isomorphism.  Every
     isomorphism of a branch maps a singleton class onto its partner, so
-    the vertices below the branch vertex are forced and the first success
-    is the least isomorphism.  Once the halves pair off, the mapping is
-    read off the colours and checked edge by edge.
+    the vertices below the branch vertex are forced, each isomorphism lies
+    under exactly one leaf, and the leaves come in lexicographic order.
+    Once the halves pair off, the mapping is read off the colours and
+    checked edge by edge.
     """
     n = len(out1)
     if len(out2) != n:
-        return None
+        return
     if colors1 is None:
         colors1 = [0] * n
     if colors2 is None:
@@ -130,11 +135,10 @@ def find_isomorphism(
             mapping = tuple(target[c] for c in c1)
             image = [1 << j for j in mapping]
             if all(out2[j] == _union_rows(image, row) for j, row in zip(mapping, out1)):
-                return mapping
+                yield mapping
             continue
         targets = [j for j in range(n) if c2[j] == c1[branch]]
         stack.append(_individualized(colors, branch, targets, n))
-    return None
 
 
 def _individualized(colors: list[int], branch: int, targets: list[int], n: int):

@@ -1,12 +1,12 @@
 """Combinatorial equivalence, 2-faces and face products of poset associahedra.
 
-A polytope is represented here only by its vertex-facet incidence, which
-determines its whole face lattice.  ``polytopes_equivalent`` compares
-f-vectors from the facet recursion first, and only when they agree reads
-the two incidences off the maximal tubings (or the permutations, for a
-permutohedron) and searches for an isomorphism between them.
-``two_face_census`` counts the vertices of each 2-face directly from the
-maximal tubings.
+A polytope is represented here by its tubes, the facets, and its maximal
+tubings, the vertices, as bitsets over the tubes; the permutohedron on n
+letters is A(graded(1, n - 1, 1)).  ``polytopes_equivalent`` compares
+f-vectors from the facet recursion first, and only when they agree
+searches the facet graphs for an isomorphism that carries the vertices
+onto the vertices.  ``two_face_census`` counts the vertices of each 2-face
+directly from the maximal tubings.
 """
 
 from __future__ import annotations
@@ -14,15 +14,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import MalformedInput, NotATubing, TooSmall
-from .isomorphism import find_isomorphism
-from .posets import Poset, _contract_rows, as_mask, iter_bits, mask_members
+from .isomorphism import _isomorphisms
+from .posets import (Poset, _contract_rows, _union_rows, as_mask, complete_graded, iter_bits,
+                     mask_members)
 from .tubings import TubeComplex, _require_usable, f_vector, is_proper_tubing
-
-# Vertex-facet incidence graph: adjacency rows (vertices first) and colours.
-Incidence = tuple[list[int], list[int]]
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -46,57 +44,32 @@ def permutohedron_f_vector(n: int) -> tuple[int, ...]:
 # -- equivalence and 2-face census -------------------------------------------
 
 
-def _vertex_facet_rows(verts: Sequence[int], facets: int) -> Incidence:
-    """Incidence rows (vertices first) and colours from each vertex's facet bitset."""
-    members: list[list[int]] = [[] for _ in range(facets)]
-    for v, row in enumerate(verts):
-        for facet in iter_bits(row):
-            members[facet].append(v)
-    shift = len(verts)
-    rows = [row << shift for row in verts] + [as_mask(m) for m in members]
-    return rows, [0] * shift + [1] * facets
-
-
-def _tubing_incidence(P: Poset) -> Incidence:
-    """The vertex-facet incidence of the tubing complex.
-
-    The vertices are the maximal tubings in walk order and the facets are
-    the tubes in ``TubeComplex`` order.  A vertex lies in the facet of each
-    tube it holds, so its facet bitset is its walked bitset.
-    """
-    cx = TubeComplex(P)
-    want = P.n - 2
-    return _vertex_facet_rows([c for c in cx.walk() if c.bit_count() == want],
-                              len(cx.tubes))
-
-
-def _permutohedron_incidence(n: int) -> Incidence:
-    """The vertex-facet incidence of the permutohedron on n letters.
-
-    The vertices are the permutations and the facets the proper nonempty
-    subsets, subset mask m being facet m - 1.  A vertex lies in the facets
-    of its n - 1 proper prefixes.
-    """
-    verts = []
-    for perm in itertools.permutations(range(n)):
-        row = prefix = 0
-        for letter in perm[:-1]:
-            prefix |= 1 << letter
-            row |= 1 << (prefix - 1)
-        verts.append(row)
-    return _vertex_facet_rows(verts, (1 << n) - 2)
+def _facet_graph(verts: Iterable[int], facets: int) -> list[int]:
+    """Row f: the union of the vertex facet-bitsets that contain f, minus f."""
+    rows = [0] * facets
+    for v in verts:
+        for f in iter_bits(v):
+            rows[f] |= v
+    return [row & ~(1 << f) for f, row in enumerate(rows)]
 
 
 def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
     """Whether A(P) is combinatorially equivalent to A(other).
 
-    ``other`` is a poset or, as an int, the letter count of a permutohedron.
-    A polytope's vertex-facet incidence determines its face lattice, so
-    equal f-vectors and isomorphic incidences decide it.  The f-vectors come
-    from the facet recursion, and the incidences are built only when the
-    f-vectors agree and the dimension is positive.  ``other`` is checked
-    first, so its ``TooSmall``, ``DisconnectedPoset`` or ``MalformedInput``
-    comes before P's.
+    ``other`` is a poset or, as an int n, the permutohedron on n letters,
+    which is A(graded(1, n - 1, 1)).  The f-vectors are compared first; the
+    tubings are walked only when they agree and the dimension is positive.
+    A simple polytope is fixed by its facets and the sets of them that meet
+    in a vertex, and poset associahedra are not flag, so a facet-graph
+    isomorphism is accepted only if it carries the maximal tubings onto the
+    maximal tubings.  ``other`` is checked first, so its ``TooSmall``,
+    ``DisconnectedPoset`` or ``MalformedInput`` comes before P's.
+
+    Why the claw: with bottom b, top t and antichain A, phi({b} u A') = A'
+    and phi({t} u A') = (A - A') u {*} send its tubes onto the proper
+    nonempty subsets of A u {*} and compatible pairs onto nested pairs.
+    Tube-digraph edges run only from b-tubes to t-tubes, so phi sends its
+    maximal tubings onto the prefix chains of the permutations.
     """
     is_poset = isinstance(other, Poset)
     f_other = f_vector(other) if is_poset else permutohedron_f_vector(other)
@@ -105,9 +78,15 @@ def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
         return False
     if len(f) == 1:
         return True
-    rows_a, colors_a = _tubing_incidence(P)
-    rows_b, colors_b = _tubing_incidence(other) if is_poset else _permutohedron_incidence(other)
-    return find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
+    a, b = TubeComplex(P), TubeComplex(other if is_poset else complete_graded((1, other - 1, 1)))
+    verts, target = a.vertices(), set(b.vertices())
+    # the vertex counts are equal, so a map of the vertices into the target is onto
+    for mapping in _isomorphisms(_facet_graph(verts, len(a.tubes)),
+                                 _facet_graph(target, len(b.tubes))):
+        image = [1 << j for j in mapping]
+        if all(_union_rows(image, v) in target for v in verts):
+            return True
+    return False
 
 
 def two_face_census(P: Poset) -> Counter[int]:
@@ -120,13 +99,11 @@ def two_face_census(P: Poset) -> Counter[int]:
     _require_usable(P)
     if P.n < 4:
         raise TooSmall("2-dimensional faces need at least four elements")
-    want = P.n - 2
     sizes: Counter[int] = Counter()
-    for chosen in TubeComplex(P).walk():
-        if chosen.bit_count() == want:
-            bits = [1 << i for i in iter_bits(chosen)]
-            for a, b in itertools.combinations(bits, 2):
-                sizes[chosen ^ a ^ b] += 1
+    for chosen in TubeComplex(P).vertices():
+        bits = [1 << i for i in iter_bits(chosen)]
+        for a, b in itertools.combinations(bits, 2):
+            sizes[chosen ^ a ^ b] += 1
     return Counter(sizes.values())
 
 

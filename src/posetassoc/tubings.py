@@ -165,6 +165,7 @@ class TubeComplex:
     def __init__(self, P: Poset):
         tubes = enumerate_tubes(P)
         self.tubes = tubes
+        self.dim = P.n - 2
         self.edges = _disjoint_edges(tubes, [_union_rows(P.up, t) for t in tubes])
         self.compat = [
             sum(1 << j for j, t in enumerate(tubes) if s != t and s & t in (0, s, t))
@@ -194,6 +195,10 @@ class TubeComplex:
                     continue
                 stack.append((chosen | bit, later & compat[k]))
                 later |= bit
+
+    def vertices(self) -> list[int]:
+        """The maximal tubings, with ``dim`` = |P| - 2 tubes each, as walked bitsets."""
+        return [c for c in self.walk() if c.bit_count() == self.dim]
 
     def tubing(self, chosen: int) -> Tubing:
         """The tube masks of a walked bitset."""
@@ -334,11 +339,8 @@ def h_vector(f: Sequence[int]) -> tuple[int, ...]:
 
 def maximal_tubings(P: Poset) -> list[Tubing]:
     """All tubings with |P| - 2 tubes; these are the vertices."""
-    want = P.n - 2
     cx = TubeComplex(P)
-    found = [cx.tubing(c) for c in cx.walk() if c.bit_count() == want]
-    found.sort(key=sorted)
-    return found
+    return sorted(map(cx.tubing, cx.vertices()), key=sorted)
 
 
 # -- label-level serialization ----------------------------------------------

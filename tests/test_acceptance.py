@@ -96,8 +96,8 @@ def test_criterion_4_same_f_vector_not_equivalent():
 
 def test_equivalences_that_invariants_cannot_decide():
     # graded(1,3,1), graded(1,1,3) and the permutohedron on 4 letters share
-    # the f-vector and the polygon census {4: 6, 6: 8}; only the incidence
-    # isomorphism tells them apart or joins them
+    # the f-vector and the polygon census {4: 6, 6: 8}; only the search
+    # over facet maps that carry vertices onto vertices joins them
     started = time.time()
     graded_131 = complete_graded((1, 3, 1))
     faces, _ = expanded_permutohedron(4)

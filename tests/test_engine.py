@@ -19,8 +19,8 @@ from posetassoc import (
     maximal_tubings,
     two_face_census,
 )
-from posetassoc.lattice import _tubing_incidence
 from posetassoc.posets import iter_bits
+from posetassoc.tubings import TubeComplex
 
 from conftest import (
     connected_posets_7_to_9,
@@ -64,17 +64,16 @@ class TestCatalogAgainstSlowPath:
             assert maximal_tubings(P) == want
 
     def test_face_lattice_vertex_sets(self, connected_upto_6):
-        # the incidence and the 2-face census against every face's vertex set
+        # the vertex reader and the 2-face census against every face's vertex set
         for P in connected_upto_6:
             faces = scan_face_vertices(P)
-            rows, colors, vertex_keys, facet_keys = oracle_incidence(faces)
+            rows, _, vertex_keys, facet_keys = oracle_incidence(faces)
             verts = len(vertex_keys)
             want = {(frozenset(vertex_keys[v]), tube) for f, (tube,) in enumerate(facet_keys)
                     for v in iter_bits(rows[verts + f])}
-            fast_rows, fast_colors = _tubing_incidence(P)
-            assert fast_colors == colors
-            tubes = enumerate_tubes(P)
-            held = [frozenset(tubes[t] for t in iter_bits(row >> verts)) for row in fast_rows[:verts]]
+            cx = TubeComplex(P)
+            held = [cx.tubing(v) for v in cx.vertices()]
+            assert len(held) == verts and len(cx.tubes) == len(facet_keys)
             assert {(tubing, tube) for tubing in held for tube in tubing} == want, P
             if P.n >= 4:
                 census = Counter(len(ids) for rank, _, ids in faces if rank == 2)

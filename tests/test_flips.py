@@ -407,18 +407,18 @@ class TestChecksStayLiveWithWarmMemo:
         S = P.mask_of(["x2_1", "x2_2"])
         tubings = list(enumerate_tubings(P))
         want = list(flip_tubings(P, S, tubings))
-        real = flips.reconstruct
+        real = flips._rebuild
         rebuilt = []
 
-        def corrupt_from_tenth(Q, subset, decomposition):
-            tubes = real(Q, subset, decomposition)
+        def corrupt_from_tenth(decomposition):
+            tubes = real(decomposition)
             rebuilt.append(tubes)
             if len(rebuilt) >= 10 and tubes:
                 # same size, one tube swapped for the whole poset
-                return (tubes - {max(tubes)}) | {Q.full_mask}
+                return (tubes - {max(tubes)}) | {P.full_mask}
             return tubes
 
-        monkeypatch.setattr(flips, "reconstruct", corrupt_from_tenth)
+        monkeypatch.setattr(flips, "_rebuild", corrupt_from_tenth)
         yielded = []
         with pytest.raises(StructureViolation, match="not a proper tubing"):
             for image in flip_tubings(P, S, tubings):

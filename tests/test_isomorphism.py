@@ -21,10 +21,19 @@ from posetassoc import (
 )
 from posetassoc import comparability
 from posetassoc.comparability import canonical_rows
-from posetassoc.isomorphism import find_isomorphism
-from posetassoc.lattice import _permutohedron_incidence, _tubing_incidence
+from posetassoc.isomorphism import _isomorphisms, find_isomorphism
+from posetassoc.lattice import _facet_graph
+from posetassoc.tubings import TubeComplex
 
-from conftest import backtrack_isomorphism, connected_posets_7_to_9, product_canonical_rows
+from conftest import (
+    backtrack_isomorphism,
+    connected_posets_7_to_9,
+    corpus,
+    expanded_permutohedron,
+    oracle_incidence,
+    product_canonical_rows,
+    scan_face_vertices,
+)
 
 
 def relabel(rows, perm) -> list[int]:
@@ -130,8 +139,8 @@ class TestFindIsomorphismAgainstBacktracking:
 
     def test_four_element_incidences(self):
         # the 4-element polytopes are polygons, so the hexagon joins them
-        incidences = [_tubing_incidence(P) for P in connected_posets(4)]
-        incidences.append(_permutohedron_incidence(3))
+        incidences = [scan_incidence(P) for P in connected_posets(4)]
+        incidences.append(oracle_incidence(expanded_permutohedron(3)[0])[:2])
         found = 0
         for rows_a, colors_a in incidences:
             for rows_b, colors_b in incidences:
@@ -147,7 +156,7 @@ class TestFindIsomorphismAgainstBacktracking:
         # f-vectors; each witness is checked edge by edge and colour by colour.
         posets = connected_posets(5)
         f_vectors = [f_vector(P) for P in posets]
-        incidences = [_tubing_incidence(P) for P in posets]
+        incidences = [scan_incidence(P) for P in posets]
         for rows, colors in incidences:
             assert find_isomorphism(rows, rows, colors, colors) == backtrack_isomorphism(
                 rows, rows, colors, colors
@@ -172,9 +181,9 @@ class TestFindIsomorphismAgainstBacktracking:
         # Every vertex of the permutohedron is a candidate for the first
         # branch.  On CPython 3.11 a search holding one colouring per
         # candidate at once peaks at 10 MiB here, one that builds them
-        # lazily at 1.5 MiB.
-        rows_a, colors_a = _tubing_incidence(complete_graded((3, 1, 3)))
-        rows_b, colors_b = _permutohedron_incidence(6)
+        # lazily at 1.5 MiB.  The incidences are built before tracing.
+        rows_a, colors_a = scan_incidence(complete_graded((3, 1, 3)))
+        rows_b, colors_b = oracle_incidence(expanded_permutohedron(6)[0])[:2]
         tracemalloc.start()
         try:
             witness = find_isomorphism(rows_a, rows_b, colors_a, colors_b)
@@ -183,6 +192,52 @@ class TestFindIsomorphismAgainstBacktracking:
             tracemalloc.stop()
         assert witness is not None
         assert peak < 4 * 2**20, peak
+
+
+def scan_incidence(P):
+    """Vertex-facet incidence rows and colours of A(P), read off the face scan."""
+    return oracle_incidence(scan_face_vertices(P))[:2]
+
+
+def ascending_isomorphisms(matcher) -> list[tuple[int, ...]]:
+    """Every isomorphism networkx finds, as image tuples, in ascending order."""
+    return sorted(tuple(m[i] for i in range(len(m))) for m in matcher.isomorphisms_iter())
+
+
+def digraph(rows) -> nx.DiGraph:
+    return nx.DiGraph({i: [j for j in range(len(rows)) if row >> j & 1] for i, row in enumerate(rows)})
+
+
+class TestAllIsomorphisms:
+    """``_isomorphisms`` yields every isomorphism once, in ascending order."""
+
+    def test_facet_graphs(self):
+        rng = random.Random(10)
+        for P in corpus(5, 4):
+            cx = TubeComplex(P)
+            rows = _facet_graph(cx.vertices(), len(cx.tubes))
+            for other in (rows, shuffled(rows, rng)):
+                got = list(_isomorphisms(rows, other))
+                matcher = nx.isomorphism.GraphMatcher(
+                    colored_graph(rows, [0] * len(rows)), colored_graph(other, [0] * len(rows)))
+                assert got == ascending_isomorphisms(matcher), P
+                assert got and find_isomorphism(rows, other) == got[0]
+
+    def test_random_digraphs(self):
+        rng = random.Random(11)
+        counts = []
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            density = rng.random()
+            a, b = ([sum(1 << j for j in range(n) if j != i and rng.random() < density)
+                     for i in range(n)] for _ in range(2))
+            for other in (b, shuffled(a, rng)):
+                got = list(_isomorphisms(a, other))
+                matcher = nx.isomorphism.DiGraphMatcher(digraph(a), digraph(other))
+                assert got == ascending_isomorphisms(matcher), (a, other)
+                assert find_isomorphism(a, other) == (got[0] if got else None)
+                counts.append(len(got))
+        assert 0 in counts and max(counts) > 1
 
 
 def colored_graph(rows, colors) -> nx.Graph:

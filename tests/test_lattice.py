@@ -23,7 +23,6 @@ from posetassoc import (
     classify_tubes,
     complete_graded,
     connected_posets,
-    enumerate_tubes,
     enumerate_tubings,
     f_vector,
     face_product_decomposition,
@@ -33,9 +32,11 @@ from posetassoc import (
     polytopes_equivalent,
     two_face_census,
 )
+from posetassoc import lattice
 from posetassoc.isomorphism import find_isomorphism
-from posetassoc.lattice import _permutohedron_incidence, _tubing_incidence
+from posetassoc.lattice import _facet_graph
 from posetassoc.posets import _contract_rows, iter_bits
+from posetassoc.tubings import TubeComplex, is_proper_tubing
 
 from conftest import corpus, expanded_permutohedron, oracle_incidence, scan_face_vertices
 
@@ -51,47 +52,105 @@ def rank_counts(faces) -> tuple[int, ...]:
     return tuple(counts[rank] for rank in range(len(counts)))
 
 
+def claw(n: int) -> Poset:
+    """graded(1, n - 1, 1) with a zero part dropped: A(claw(n)) is the permutohedron."""
+    return complete_graded(tuple(p for p in (1, n - 1, 1) if p))
+
+
+def phi(n: int, tube: int) -> int:
+    """The subset of the letters 0..n-1 that a tube of claw(n) stands for.
+
+    The claw's elements are the bottom 0, the antichain 1..n-1 and the top
+    n.  Antichain element i is letter i - 1 and the top's letter is n - 1:
+    a tube {bottom} u A' stands for A', a tube {top} u A' for the letters
+    of the antichain outside A' and the top's letter.
+    """
+    middle = tube >> 1 & (1 << (n - 1)) - 1
+    return middle if tube & 1 else (1 << (n - 1)) - 1 & ~middle | 1 << (n - 1)
+
+
+def claw_vertices(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Each vertex of A(claw(n)) as its permutation and its tubes' subsets, through phi."""
+    cx = TubeComplex(claw(n))
+    out = []
+    for v in cx.vertices():
+        prefixes = sorted((phi(n, cx.tubes[t]) for t in iter_bits(v)), key=int.bit_count)
+        steps = [b & ~a for a, b in zip([0, *prefixes], [*prefixes, (1 << n) - 1])]
+        assert all(step.bit_count() == 1 for step in steps)
+        out.append((tuple(step.bit_length() - 1 for step in steps), prefixes))
+    return out
+
+
 class TestFaceLattice:
-    """The tubing complex's vertex-facet incidence."""
+    """The tubing complex's vertices and facet graph."""
 
     def test_two_chain_is_a_point(self):
         assert f_vector(chain(2)) == (1,)
-        assert _tubing_incidence(chain(2)) == ([0], [0])
+        assert TubeComplex(chain(2)).vertices() == [0]
 
     def test_pentagon(self):
         assert f_vector(chain(4)) == (5, 5, 1)
-        rows, colors = _tubing_incidence(chain(4))
-        assert colors == [0] * 5 + [1] * 5
-        assert all(row.bit_count() == 2 for row in rows)
+        cx = TubeComplex(chain(4))
+        verts = cx.vertices()
+        assert len(verts) == 5 and all(v.bit_count() == 2 for v in verts)
+        assert all(row.bit_count() == 2 for row in _facet_graph(verts, len(cx.tubes)))
 
     def test_rank_counts_equal_f_vector(self, connected_upto_5):
         for P in connected_upto_5:
             f = f_vector(P)
-            _, colors = _tubing_incidence(P)
-            assert (colors.count(0), colors.count(1)) == (f[0], f[-2] if P.n > 2 else 0)
+            cx = TubeComplex(P)
+            assert (len(cx.vertices()), len(cx.tubes)) == (f[0], f[-2] if P.n > 2 else 0)
 
     def test_requires_connected(self):
         with pytest.raises(DisconnectedPoset):
-            _tubing_incidence(antichain(2))
+            TubeComplex(antichain(2))
         with pytest.raises(DisconnectedPoset):
             polytopes_equivalent(antichain(2), 1)
 
 
 class TestPermutohedron:
+    """The permutohedron on n letters is A(claw(n)), read through phi."""
+
     def test_segment(self):
-        assert _permutohedron_incidence(2) == ([0b0100, 0b1000, 0b01, 0b10], [0, 0, 1, 1])
+        cx = TubeComplex(claw(2))
+        assert cx.vertices() == [0b01, 0b10]
+        assert _facet_graph(cx.vertices(), len(cx.tubes)) == [0, 0]
 
     def test_hexagon(self):
-        rows, colors = _permutohedron_incidence(3)
-        assert colors == [0] * 6 + [1] * 6
-        assert all(row.bit_count() == 2 for row in rows)
+        cx = TubeComplex(claw(3))
+        verts = cx.vertices()
+        assert len(verts) == 6 and all(v.bit_count() == 2 for v in verts)
+        assert all(row.bit_count() == 2 for row in _facet_graph(verts, len(cx.tubes)))
 
     def test_three_dimensional(self):
         # the truncated octahedron: eight hexagons and six squares
-        rows, colors = _permutohedron_incidence(4)
-        assert colors == [0] * 24 + [1] * 14
-        assert all(row.bit_count() == 3 for row in rows[:24])
-        assert Counter(row.bit_count() for row in rows[24:]) == {6: 8, 4: 6}
+        cx = TubeComplex(claw(4))
+        verts = cx.vertices()
+        assert len(verts) == 24 and all(v.bit_count() == 3 for v in verts)
+        rows = _facet_graph(verts, len(cx.tubes))
+        assert Counter(row.bit_count() for row in rows) == {6: 8, 4: 6}
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_the_claw_is_the_permutohedron(self, n):
+        # phi sends the tubes onto the proper nonempty subsets, compatible
+        # pairs onto nested pairs, and the maximal tubings onto the prefix
+        # chains of the n! permutations, with no isomorphism search
+        Q = claw(n)
+        tubes = TubeComplex(Q).tubes
+        images = [phi(n, t) for t in tubes]
+        assert sorted(images) == list(range(1, 2**n - 1))
+        for (s, a), (t, b) in itertools.combinations(zip(tubes, images), 2):
+            assert is_proper_tubing(Q, [s, t]) == (a & b in (a, b))
+        chains = set()
+        for perm in itertools.permutations(range(n)):
+            prefix, chain_ = 0, []
+            for letter in perm[:-1]:
+                prefix |= 1 << letter
+                chain_.append(prefix)
+            chains.add(frozenset(chain_))
+        verts = claw_vertices(n)
+        assert len(verts) == math.factorial(n) == len(chains)
+        assert {frozenset(prefixes) for _, prefixes in verts} == chains
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_f_vector_formulas_and_lattice_agree(self, n):
@@ -110,28 +169,26 @@ class TestPermutohedron:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_block_expansion(self, n):
-        # vertex v is the v-th permutation of 0..n-1, facet m - 1 the subset
-        # mask m; the expansion's keys are ordered partitions of 1..n
+        # the claw's vertex-facet pairs through phi are the expansion's: a
+        # vertex is keyed by its permutation, a facet by its subset, both
+        # of the letters 1..n
         faces, _ = expanded_permutohedron(n)
         assert rank_counts(faces) == permutohedron_f_vector(n)
         rows, _, keys, facets = oracle_incidence(faces)
         want = {(keys[v], facets[f][0]) for f in range(len(facets))
                 for v in iter_bits(rows[len(keys) + f])}
-        perms = list(itertools.permutations(range(1, n + 1)))
-        got_rows, _ = _permutohedron_incidence(n)
-        got = {(tuple((x,) for x in perms[v]), tuple(x + 1 for x in iter_bits(f + 1)))
-               for f, row in enumerate(got_rows[len(perms):]) for v in iter_bits(row)}
+        got = {(tuple((x + 1,) for x in perm), tuple(x + 1 for x in iter_bits(s)))
+               for perm, prefixes in claw_vertices(n) for s in prefixes}
         assert got == want
 
     def test_covers_merge_adjacent_blocks(self):
         # two vertices span an edge exactly when they share all facets but
         # one, and then they differ by swapping two adjacent letters
         n = 4
-        perms = list(itertools.permutations(range(n)))
-        rows, _ = _permutohedron_incidence(n)
-        for u, v in itertools.combinations(range(len(perms)), 2):
-            shared = (rows[u] & rows[v]).bit_count()
-            moved = [i for i in range(n) if perms[u][i] != perms[v][i]]
+        verts = claw_vertices(n)
+        for (p, a), (q, b) in itertools.combinations(verts, 2):
+            shared = len(set(a) & set(b))
+            moved = [i for i in range(n) if p[i] != q[i]]
             swapped = len(moved) == 2 and moved[1] == moved[0] + 1
             assert (shared == n - 2) == swapped
 
@@ -220,32 +277,58 @@ class TestPolytopesEquivalent:
         assert answers == {False, True} and permutohedral > 10
 
     def test_tubing_incidence_matches_the_lattice(self, catalog):
-        # the facet rows transpose the vertex rows; test_engine compares
-        # the pairs themselves with the scan
-        for P in catalog[0]:
-            rows, colors = _tubing_incidence(P)
-            tubes = enumerate_tubes(P)
-            verts = colors.count(0)
-            assert colors == [0] * verts + [1] * len(tubes)
-            # a vertex's row holds its tubes' facets, shifted past the vertices
-            held = [frozenset(tubes[t] for t in iter_bits(row >> verts)) for row in rows[:verts]]
-            assert all(len(tubing) == P.n - 2 for tubing in held)
-            direct = {(tubing, tube) for tubing in held for tube in tubing}
-            assert direct == {(held[v], tube) for f, tube in enumerate(tubes)
-                              for v in iter_bits(rows[verts + f])}, P
+        # the facet graph joins two tubes exactly when a scanned vertex
+        # holds both; test_engine compares the vertices with the scan
+        for P, faces in zip(*catalog):
+            cx = TubeComplex(P)
+            rows = _facet_graph(cx.vertices(), len(cx.tubes))
+            joined = {(s, t) for rank, key, _ in faces if rank == 0
+                      for s in key for t in key if s != t}
+            assert {(cx.tubes[f], cx.tubes[g]) for f, row in enumerate(rows)
+                    for g in iter_bits(row)} == joined, P
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_permutohedron_incidence_matches_the_lattice(self, n):
-        # the facet rows transpose the vertex rows; a vertex lies in n - 1
-        # facets, and the facet of a k-subset holds k! (n - k)! vertices
-        rows, colors = _permutohedron_incidence(n)
-        verts = math.factorial(n)
-        assert colors == [0] * verts + [1] * (2**n - 2)
-        assert all(row.bit_count() == n - 1 for row in rows[:verts])
-        for f, row in enumerate(rows[verts:]):
-            k = (f + 1).bit_count()
-            assert row.bit_count() == math.factorial(k) * math.factorial(n - k)
-            assert all(rows[v] >> (verts + f) & 1 for v in iter_bits(row))
+        # a vertex of the claw lies in n - 1 facets, and the facet of a
+        # k-subset holds k! (n - k)! vertices
+        cx = TubeComplex(claw(n))
+        verts = cx.vertices()
+        assert len(verts) == math.factorial(n) and len(cx.tubes) == 2**n - 2
+        assert all(v.bit_count() == n - 1 for v in verts)
+        for f, tube in enumerate(cx.tubes):
+            k = phi(n, tube).bit_count()
+            assert sum(v >> f & 1 for v in verts) == math.factorial(k) * math.factorial(n - k)
+
+    def test_every_leaf_is_tried(self, monkeypatch):
+        # No catalog pair reaches a facet-graph isomorphism that fails the
+        # vertex check, so one is made: the second truncated octahedron
+        # loses a vertex.  Its facet graph keeps every edge, since each
+        # lies in two vertices, so all 48 facet-graph automorphisms are
+        # tried and each fails; a search that stopped at its first leaf
+        # would try one.
+        leaves = []
+        real_isomorphisms = lattice._isomorphisms
+
+        def counted(*graphs):
+            for mapping in real_isomorphisms(*graphs):
+                leaves.append(mapping)
+                yield mapping
+
+        monkeypatch.setattr(lattice, "_isomorphisms", counted)
+        assert polytopes_equivalent(claw(4), 4)
+        assert len(leaves) == 1
+        real_vertices = TubeComplex.vertices
+        read = []
+
+        def drop_from_the_second(cx):
+            read.append(cx)
+            verts = real_vertices(cx)
+            return verts[:-1] if len(read) == 2 else verts
+
+        monkeypatch.setattr(TubeComplex, "vertices", drop_from_the_second)
+        leaves.clear()
+        assert not polytopes_equivalent(claw(4), 4)
+        assert len(read) == 2 and len(leaves) == 48
 
     def test_zero_dimensional(self):
         assert polytopes_equivalent(chain(2), 1)
