@@ -7,14 +7,17 @@ below and one from above.  Each chain is recorded as a nested sequence of
 outside parts with star marks, plus the blocks of subset elements absorbed
 at the starred steps; reversing the block order and replaying the recursion
 on the flipped poset yields the image tubing.  `flip_tubings` flips the
-subset once per call and validates every step, so a broken assumption
-fails loudly instead of producing a silently wrong tubing.
+subset once per call and validates every step of every tubing, so a broken
+assumption fails loudly instead of producing a silently wrong tubing.  What
+it does once per call rather than once per tubing is per-tube work: each
+mask's tube test, each pair of tubes' compatibility and digraph edges (in
+a tube table per poset) and each tube's kind relative to the subset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     MalformedDecomposition,
@@ -22,7 +25,7 @@ from .errors import (
     StructureViolation,
 )
 from .posets import Poset, _require_autonomous, _require_inside, _union_rows, as_mask, flip
-from .tubings import Tubing, _is_proper_tubing
+from .tubings import Tubing, _is_proper_tubing, _TubeTable
 
 
 @dataclass(frozen=True)
@@ -137,40 +140,55 @@ def classify_tubes(
     """Split a tubing into good tubes and the two nested chains of bad ones."""
     s_mask = as_mask(subset)
     _require_autonomous(P, s_mask)
-    return _classify(P, s_mask, [as_mask(t) for t in tubing], {})
+    return _classify(s_mask, [as_mask(t) for t in tubing], _TubeTable(P), {})
+
+
+_GOOD, _LOWER, _UPPER = range(3)
 
 
 def _classify(
-    P: Poset, s_mask: int, tubes: Collection[int], upset_of: dict[int, int | None]
+    s_mask: int, tubes: Sequence[int], table: _TubeTable, kind_of: dict[int, int]
 ) -> TubeClassification:
-    """``classify_tubes`` for a subset already known to be autonomous.
+    """``classify_tubes`` on the table's poset, for a subset known to be autonomous.
 
-    ``upset_of`` is the tube memo of ``_is_proper_tubing`` on P.
+    ``table`` is the tube table of ``_is_proper_tubing``, so the tubing is
+    checked in full against it.  ``kind_of`` remembers each tube's kind
+    (good, lower or upper) relative to ``s_mask``; a bad tube that is both
+    lower and upper, or neither, is not remembered and raises each time it
+    is met.
     """
-    if not _is_proper_tubing(P, tubes, upset_of):
+    if not _is_proper_tubing(tubes, table):
         raise NotATubing("input is not a proper tubing")
-    good = set()
-    lower = []
-    upper = []
+    P = table.poset
+    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
     for tube in tubes:
-        if tube & s_mask == 0 or tube & ~s_mask == 0 or s_mask & ~tube == 0:
-            good.add(tube)
-            continue
-        inside = tube & s_mask
-        is_lower = bool(_union_rows(P.up, tube & ~s_mask) & inside)
-        is_upper = bool(_union_rows(P.down, tube & ~s_mask) & inside)
-        if is_lower == is_upper:
-            kind = "both lower and upper" if is_lower else "neither lower nor upper"
-            raise StructureViolation(
-                f"bad tube {{{', '.join(P.labels_of(tube))}}} is {kind}"
-            )
-        (lower if is_lower else upper).append(tube)
+        kind = kind_of.get(tube)
+        if kind is None:
+            kind = _kind(P, s_mask, tube)
+            kind_of[tube] = kind
+        parts[kind].append(tube)
+    good, lower, upper = parts
     for seq in (lower, upper):
         seq.sort(key=int.bit_count)
         for small, big in zip(seq, seq[1:]):
             if small & ~big:
                 raise StructureViolation("bad tubes of one kind must be nested")
     return TubeClassification(frozenset(good), tuple(lower), tuple(upper))
+
+
+def _kind(P: Poset, s_mask: int, tube: int) -> int:
+    """Whether a tube is good, lower or upper relative to an autonomous subset."""
+    if tube & s_mask == 0 or tube & ~s_mask == 0 or s_mask & ~tube == 0:
+        return _GOOD
+    inside = tube & s_mask
+    is_lower = bool(_union_rows(P.up, tube & ~s_mask) & inside)
+    is_upper = bool(_union_rows(P.down, tube & ~s_mask) & inside)
+    if is_lower == is_upper:
+        kind = "both lower and upper" if is_lower else "neither lower nor upper"
+        raise StructureViolation(
+            f"bad tube {{{', '.join(P.labels_of(tube))}}} is {kind}"
+        )
+    return _LOWER if is_lower else _UPPER
 
 
 def _decorate(subset: int, chain: tuple[int, ...]) -> tuple[DecoratedSequence, list[int]]:
@@ -258,18 +276,22 @@ def flip_tubings(
 
     The subset is flipped once, which checks that it is autonomous.  Good
     tubes carry over unchanged; bad tubes are decomposed, the block order
-    reversed, and the result rebuilt on the flipped poset.  Every input and
-    every image is validated in full as a proper tubing; only whether a
-    mask is a tube of P, or of the flipped poset, is remembered, for the
-    life of this call.
+    reversed, and the result rebuilt on the flipped poset.  Every input, as
+    given, and every image is checked in full: a proper tubing, bad-tube
+    chains nested, the decomposition validated, the image the same size.
+    What the call remembers, for its own life only, is one tube table for
+    P and one for the flipped poset (each mask's tube test, and each pair
+    of tubes' compatibility and digraph edges, done once), and the kind of
+    each tube of P relative to the subset.
     """
     s_mask = as_mask(subset)
     flipped = flip(P, s_mask)
-    upset_of: dict[int, int | None] = {}
-    flipped_upset_of: dict[int, int | None] = {}
+    table = _TubeTable(P)
+    flipped_table = _TubeTable(flipped)
+    kind_of: dict[int, int] = {}
     for tubing in tubings:
-        tubes = frozenset(as_mask(t) for t in tubing)
-        classification = _classify(P, s_mask, tubes, upset_of)
+        tubes = [as_mask(t) for t in tubing]
+        classification = _classify(s_mask, tubes, table, kind_of)
         decomposition = decompose(P, s_mask, classification)
         # reversal keeps every condition that decompose has validated
         new_bad = _rebuild(decomposition.reversed_blocks())
@@ -278,7 +300,7 @@ def flip_tubings(
             raise StructureViolation(
                 f"flip image has {len(image)} tubes, expected {len(tubes)}"
             )
-        if not _is_proper_tubing(flipped, image, flipped_upset_of):
+        if not _is_proper_tubing(image, flipped_table):
             raise StructureViolation("flip image is not a proper tubing")
         yield image
 

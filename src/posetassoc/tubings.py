@@ -14,6 +14,8 @@ a cycle through itself, so acyclicity is checked incrementally by one
 ``_reach`` from the candidate's successors inside the chosen tubes.  The
 walk's descending loop over candidates is the only other loop over the
 set bits of a mask in the package, because its order defines the walk.
+Given tubings are checked against a per-call ``_TubeTable``, which builds
+the same bitsets for the tubes that the call meets, one tube at a time.
 
 Face counts do not walk the tubings.  ``f_vector`` sums over the facets,
 one per tube t, each the product of the polytopes of the restriction P|t
@@ -125,34 +127,78 @@ def tube_digraph(P: Poset, tubes: Iterable[int]) -> dict[int, tuple[int, ...]]:
 
 def is_proper_tubing(P: Poset, tubes: Iterable[int]) -> bool:
     """Distinct proper tubes, pairwise nested or disjoint, digraph acyclic."""
-    return _is_proper_tubing(P, tubes, {})
+    return _is_proper_tubing(map(as_mask, tubes), _TubeTable(P))
 
 
-def _is_proper_tubing(P: Poset, tubes: Iterable[int],
-                      upset_of: dict[int, int | None]) -> bool:
-    """``is_proper_tubing``, with ``upset_of`` memoizing ``_tube_upset`` on P.
+class _TubeTable:
+    """The masks that one call has met on a poset, each tube with its bitsets.
 
-    Each tube is checked for convexity and connectivity once per memo; the
-    distinctness, laminarity and acyclicity of the tubing always run.
+    A mask is checked by ``_tube_upset`` the first time it is met; a non-tube
+    is remembered as None, a tube gets the next index.  Its compatibility
+    and tube-digraph edge bits against every tube met before it are set
+    then, in both directions, so ``compat`` and ``edges`` mean what they
+    mean in ``TubeComplex``, over the tubes met so far.
     """
-    tubes = [as_mask(t) for t in tubes]
-    if len(set(tubes)) != len(tubes):
-        return False
-    upsets = []
+
+    def __init__(self, P: Poset):
+        self.poset = P
+        self.index_of: dict[int, int | None] = {}
+        self.tubes: list[int] = []
+        self.upsets: list[int] = []
+        self.compat: list[int] = []
+        self.edges: list[int] = []
+
+    def find(self, mask: int) -> int | None:
+        """The index of ``mask`` if it is a proper tube of the poset, else None."""
+        try:
+            return self.index_of[mask]
+        except KeyError:
+            pass
+        above = _tube_upset(self.poset, mask)
+        if above is None:
+            self.index_of[mask] = None
+            return None
+        k = len(self.tubes)
+        bit = 1 << k
+        compat = edges = 0
+        for j, (t, t_above) in enumerate(zip(self.tubes, self.upsets)):
+            inter = mask & t
+            if inter and inter != mask and inter != t:
+                continue
+            compat |= 1 << j
+            self.compat[j] |= bit
+            if not inter:
+                if above & t:
+                    edges |= 1 << j
+                if t_above & mask:
+                    self.edges[j] |= bit
+        self.index_of[mask] = k
+        self.tubes.append(mask)
+        self.upsets.append(above)
+        self.compat.append(compat)
+        self.edges.append(edges)
+        return k
+
+
+def _is_proper_tubing(tubes: Iterable[int], table: _TubeTable) -> bool:
+    """``is_proper_tubing`` for tube masks on the table's poset.
+
+    Each mask is checked for convexity and connectivity once per table; the
+    distinctness, laminarity and acyclicity of the tubing always run, each
+    tube against the tubes before it in ``tubes``.
+    """
+    compat, edges = table.compat, table.edges
+    chosen = 0
     for t in tubes:
-        if t not in upset_of:
-            upset_of[t] = _tube_upset(P, t)
-        upsets.append(upset_of[t])
-    if None in upsets:
-        return False
-    for k, a in enumerate(tubes):
-        for b in tubes[:k]:
-            inter = a & b
-            if inter and inter != a and inter != b:
-                return False
-    # any cycle is caught when its last tube in list order is checked
-    edges = _disjoint_edges(tubes, upsets)
-    return not any(_closes_cycle(edges, k, (1 << k) - 1) for k in range(len(tubes)))
+        k = table.find(t)
+        # compat[k] lacks k's own bit, so a repeated tube fails as a crossing one
+        if k is None or chosen & ~compat[k]:
+            return False
+        # any cycle is caught at its last tube
+        if edges[k] & chosen and _closes_cycle(edges, k, chosen):
+            return False
+        chosen |= 1 << k
+    return True
 
 
 class TubeComplex:

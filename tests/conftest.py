@@ -17,9 +17,9 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from posetassoc import Poset, connected_posets, is_proper_tube, mask_members
+from posetassoc import Poset, as_mask, connected_posets, is_proper_tube, mask_members
 from posetassoc.isomorphism import refine
-from posetassoc.tubings import TubeComplex
+from posetassoc.tubings import TubeComplex, _closes_cycle, _disjoint_edges, _tube_upset
 
 
 def corpus(max_n: int, min_n: int = 2) -> list[Poset]:
@@ -145,11 +145,13 @@ def masks_to_sets(tubing) -> set[frozenset[int]]:
     return {frozenset(mask_members(t)) for t in tubing}
 
 
-# -- slow reference enumerators -------------------------------------------------
+# -- slow reference enumerators and checker -------------------------------------
 #
 # The package's first enumerators, kept as differential oracles for the
 # bitset engine: a scan of all 2^n masks for tubes, and a recursive search
 # that rebuilds the candidate's tube digraph and checks it by recursive DFS.
+# Beside them, the first proper-tubing test, which rebuilds everything per
+# tubing, as the oracle for the per-call tube tables of ``flip_tubings``.
 
 
 def scan_tubes(P: Poset) -> list[int]:
@@ -220,6 +222,28 @@ def recursive_tubings(P: Poset):
                 chosen.pop()
 
     yield from extend(0)
+
+
+def listwise_is_tubing(P: Poset, tubes) -> bool:
+    """The package's first proper-tubing test, which keeps nothing between calls.
+
+    Every tube is checked afresh, every pair of tubes by a nested loop, and
+    the tube digraph is built over positions in ``tubes``, so each cycle is
+    caught at its last tube in list order.
+    """
+    tubes = [as_mask(t) for t in tubes]
+    if len(set(tubes)) != len(tubes):
+        return False
+    upsets = [_tube_upset(P, t) for t in tubes]
+    if None in upsets:
+        return False
+    for k, a in enumerate(tubes):
+        for b in tubes[:k]:
+            inter = a & b
+            if inter and inter != a and inter != b:
+                return False
+    edges = _disjoint_edges(tubes, upsets)
+    return not any(_closes_cycle(edges, k, (1 << k) - 1) for k in range(len(tubes)))
 
 
 def recursive_f_vector(P: Poset) -> tuple[int, ...]:

@@ -718,6 +718,20 @@ class TestFlipOutputPin:
             "e5f585578af756af5436690c0dc513b7ef74991d4d545366233b1aaa9911fd16"
         )
 
+    @pytest.mark.parametrize(
+        "source, digest",
+        [
+            ("graded:2,3,2", "e5219a578b15ea77a7d976dab8f8b74e313b712e7d3f710a60dfa4cb572d8ea0"),
+            ("graded:3,1,3", "44d1ff4e5875bc0619d222f728215fcddda611b35f5e437012f20a127c429e24"),
+        ],
+    )
+    def test_check_invariance_bytes_at_seven_elements(self, capsys, source, digest):
+        from hashlib import sha256
+
+        code, out = invoke(capsys, "check-invariance", source)
+        assert code == 0
+        assert sha256(out.encode()).hexdigest() == digest
+
 
 class TestInternalError:
     def test_invariant_failure_exits_3(self, capsys, monkeypatch):

@@ -33,9 +33,9 @@ from posetassoc import (
 )
 from posetassoc import flips
 from posetassoc.flips import _classify
-from posetassoc.tubings import _is_proper_tubing
+from posetassoc.tubings import _is_proper_tubing, _TubeTable
 
-from conftest import corpus
+from conftest import corpus, listwise_is_tubing
 
 
 @pytest.fixture
@@ -288,11 +288,14 @@ class TestFlipTubing:
 
 
 def _oracle_flip(P, S, flipped, T):
-    """One tubing through the public steps, each validating it afresh."""
-    classification = classify_tubes(P, S, T)
+    """One tubing through the public steps, its input and image checked listwise."""
+    tubes = list(T)
+    if not listwise_is_tubing(P, tubes):
+        raise NotATubing("oracle input is not a proper tubing")
+    classification = classify_tubes(P, S, tubes)
     dec = decompose(P, S, classification)
     image = classification.good | reconstruct(flipped, S, dec.reversed_blocks())
-    if len(image) != len(frozenset(T)) or not is_proper_tubing(flipped, image):
+    if len(image) != len(tubes) or not listwise_is_tubing(flipped, image):
         raise StructureViolation("oracle image is not a proper tubing of the same size")
     return image
 
@@ -343,11 +346,14 @@ class TestFlipTubingsAgainstOracle:
             _assert_matches_oracle(P, list(enumerate_tubings(P)))
 
     def test_improper_tubing_midway(self, connected_upto_5):
-        # the full mask is no tube; a crossing or cyclic pair of tubes is no tubing
+        # the full mask is no tube; a crossing or cyclic pair of tubes, or a
+        # tube listed twice, is no tubing
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))
             singles = sorted(next(iter(T)) for T in tubings if len(T) == 1)
             bad = [frozenset([P.full_mask])]
+            if singles:
+                bad.append([singles[0], singles[0]])
             bad += [frozenset([a, b]) for k, a in enumerate(singles) for b in singles[:k]
                     if not is_proper_tubing(P, [a, b])][:2]
             half = len(tubings) // 2
@@ -361,7 +367,7 @@ class TestFlipTubingsAgainstOracle:
 
 
 class TestChecksStayLiveWithWarmMemo:
-    """The per-call tube memo never stands in for a check of the tubing."""
+    """The per-call tube table and kind memo never stand in for a check of the tubing."""
 
     @pytest.mark.parametrize(
         "parts, subset, first, second",
@@ -384,23 +390,37 @@ class TestChecksStayLiveWithWarmMemo:
 
     def test_remembered_non_tube_is_refused_again(self):
         # flip_tubings stops at the first improper tubing, so the repeat of
-        # a remembered non-tube goes through the helpers it shares a memo with
+        # a remembered non-tube goes through the helpers it shares a table with
         P = chain(4)
         S = P.mask_of(["b", "c"])
         non_tube = P.mask_of(["a", "c"])  # not convex
         holder = P.mask_of(["a", "b", "c"])
-        memo = {}
-        assert not _is_proper_tubing(P, [non_tube], memo)
-        assert memo[non_tube] is None
-        assert _is_proper_tubing(P, [holder], memo)
-        assert not _is_proper_tubing(P, [holder, non_tube], memo)
+        table = _TubeTable(P)
+        kind_of = {}
+        assert not _is_proper_tubing([non_tube], table)
+        assert table.index_of[non_tube] is None
+        assert _is_proper_tubing([holder], table)
+        assert not _is_proper_tubing([holder, non_tube], table)
         with pytest.raises(NotATubing):
-            _classify(P, S, [holder, non_tube], memo)
+            _classify(S, [holder, non_tube], table, kind_of)
         with pytest.raises(NotATubing):
-            _classify(P, S, [P.full_mask], memo)
-        assert memo[P.full_mask] is None
+            _classify(S, [P.full_mask], table, kind_of)
+        assert table.index_of[P.full_mask] is None
         with pytest.raises(NotATubing):
-            _classify(P, S, [holder, P.full_mask], memo)
+            _classify(S, [holder, P.full_mask], table, kind_of)
+
+    def test_bad_kind_raises_every_time(self):
+        # {b, d} is not autonomous in a < b < c < d, and {a, b, c} holds
+        # elements both below and above b outside the subset
+        P = chain(4)
+        S = P.mask_of(["b", "d"])
+        tube = P.mask_of(["a", "b", "c"])
+        table = _TubeTable(P)
+        kind_of = {}
+        for _ in range(2):
+            with pytest.raises(StructureViolation, match="both lower and upper"):
+                _classify(S, [tube], table, kind_of)
+        assert tube not in kind_of
 
     def test_non_tube_image_partway(self, monkeypatch):
         P = complete_graded((1, 2, 2))

@@ -31,10 +31,11 @@ from posetassoc import (
     tubing_to_labels,
 )
 from posetassoc.posets import mask_members
-from posetassoc.tubings import _closes_cycle
+from posetassoc.tubings import _closes_cycle, _is_proper_tubing, _TubeTable
 
 from conftest import (
     corpus,
+    listwise_is_tubing,
     masks_to_sets,
     oracle_count_tubings,
     oracle_is_tubing,
@@ -213,6 +214,27 @@ class TestProperTubingAgainstOracle:
         t = P.mask_of(["a", "b"])
         assert is_proper_tubing(P, [t])
         assert not is_proper_tubing(P, [t, t])
+
+
+class TestTubeTable:
+    """A table warmed on every tubing answers as the checker that keeps nothing."""
+
+    def test_warm_table_on_every_ordered_pair(self):
+        crossing = cyclic = 0
+        for P in corpus(5, 4):
+            table = _TubeTable(P)
+            for T in enumerate_tubings(P):
+                assert _is_proper_tubing(T, table)
+            tubes = enumerate_tubes(P)
+            assert sorted(table.tubes) == sorted(tubes)
+            upsets = dict(zip(table.tubes, table.upsets))
+            for a in tubes:
+                for b in tubes:
+                    assert _is_proper_tubing([a, b], table) == listwise_is_tubing(P, [a, b])
+                    inter = a & b
+                    crossing += bool(inter) and inter not in (a, b)
+                    cyclic += not inter and bool(upsets[a] & b and upsets[b] & a)
+        assert crossing and cyclic
 
 
 class TestEnumerateTubings:
