@@ -106,7 +106,10 @@ def _guard_size(n: int, force: bool, subject: str = "{n} elements exceed") -> No
 
 
 def _subset_mask(P: Poset, text: str) -> int:
-    return P.mask_of(lab for lab in text.split(",") if lab)
+    labels = [lab for lab in text.split(",") if lab]
+    if len(set(labels)) != len(labels):
+        raise MalformedInput("--subset names a label twice")
+    return P.mask_of(labels)
 
 
 def _emit(payload: dict, rows: list[list], fmt: str) -> None:

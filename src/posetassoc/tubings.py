@@ -5,17 +5,17 @@ masks.  Compatibility (nested or disjoint) and convexity reduce to mask
 algebra.
 
 Tubes are grown output-sensitively from the singletons by adding a Hasse
-neighbour and closing convexly.  All tubing enumeration goes through one
-per-poset engine, ``TubeComplex``, in which each tube carries a
-compatibility bitset and a disjoint-edge bitset over tube indices, so a
-tubing is a bitset over tube indices too.  Tubings are walked with an
-explicit stack of (chosen, candidates) bitsets; a candidate can only close
-a cycle through itself, so acyclicity is checked incrementally by one
-``_reach`` from the candidate's successors inside the chosen tubes.  The
-walk's descending loop over candidates is the only other loop over the
-set bits of a mask in the package, because its order defines the walk.
-Given tubings are checked against a per-call ``_TubeTable``, which builds
-the same bitsets for the tubes that the call meets, one tube at a time.
+neighbour and closing convexly.  One tube table, ``_TubeTable``, gives each
+tube an index, a compatibility bitset and a disjoint-edge bitset over tube
+indices, so a tubing is a bitset over tube indices too.  Given tubings are
+checked against a per-call table, filled lazily with the tubes that the
+call meets; ``TubeComplex``, the engine of all tubing enumeration, is the
+table with every tube added.  Tubings are walked with an explicit stack of
+(chosen, candidates) bitsets; a candidate can only close a cycle through
+itself, so acyclicity is checked incrementally by one ``_reach`` from the
+candidate's successors inside the chosen tubes.  The walk's descending
+loop over candidates is the only other loop over the set bits of a mask in
+the package, because its order defines the walk.
 
 Face counts do not walk the tubings.  ``f_vector`` sums over the facets,
 one per tube t, each the product of the polytopes of the restriction P|t
@@ -90,23 +90,6 @@ def enumerate_tubes(P: Poset) -> list[int]:
     return tubes
 
 
-def _disjoint_edges(tubes: Sequence[int], upsets: Sequence[int]) -> list[int]:
-    """Edge bitsets of the inter-tube digraph, over positions in ``tubes``.
-
-    Bit j of entry i is set when tubes i and j are disjoint and tube i
-    contains an element strictly below one of tube j's (``upsets[i]`` is
-    the strict upset of tube i).
-    """
-    edges = []
-    for s, above in zip(tubes, upsets):
-        row = 0
-        for j, t in enumerate(tubes):
-            if above & t and not s & t:
-                row |= 1 << j
-        edges.append(row)
-    return edges
-
-
 def _closes_cycle(edges: Sequence[int], node: int, within: int) -> bool:
     """Whether a path from ``node`` through the bitset ``within`` returns to it."""
     home = 1 << node
@@ -121,8 +104,7 @@ def tube_digraph(P: Poset, tubes: Iterable[int]) -> dict[int, tuple[int, ...]]:
     A tube naming an element outside the poset raises ElementNotFound.
     """
     tubes = [_require_inside(P, t) for t in tubes]
-    edges = _disjoint_edges(tubes, [_union_rows(P.up, t) for t in tubes])
-    return {s: tuple(tubes[j] for j in iter_bits(row)) for s, row in zip(tubes, edges)}
+    return {s: tuple(t for t in tubes if not s & t and _union_rows(P.up, s) & t) for s in tubes}
 
 
 def is_proper_tubing(P: Poset, tubes: Iterable[int]) -> bool:
@@ -131,13 +113,14 @@ def is_proper_tubing(P: Poset, tubes: Iterable[int]) -> bool:
 
 
 class _TubeTable:
-    """The masks that one call has met on a poset, each tube with its bitsets.
+    """Tubes of one poset, each with its bitsets over the indices of the tubes added.
 
-    A mask is checked by ``_tube_upset`` the first time it is met; a non-tube
-    is remembered as None, a tube gets the next index.  Its compatibility
-    and tube-digraph edge bits against every tube met before it are set
-    then, in both directions, so ``compat`` and ``edges`` mean what they
-    mean in ``TubeComplex``, over the tubes met so far.
+    ``compat[i]`` holds the tubes nested in or disjoint from tube i, and
+    ``edges[i]`` the successors of tube i in the tube digraph.  ``_add``
+    gives a tube the next index and sets its bits against every tube added
+    before it, in both directions.  ``find`` checks a mask by
+    ``_tube_upset`` the first time it is met and adds it if it is a tube; a
+    non-tube is remembered as None.
     """
 
     def __init__(self, P: Poset):
@@ -158,6 +141,10 @@ class _TubeTable:
         if above is None:
             self.index_of[mask] = None
             return None
+        return self._add(mask, above)
+
+    def _add(self, mask: int, above: int) -> int:
+        """Give the tube ``mask``, with strict upset ``above``, the next index."""
         k = len(self.tubes)
         bit = 1 << k
         compat = edges = 0
@@ -201,22 +188,18 @@ def _is_proper_tubing(tubes: Iterable[int], table: _TubeTable) -> bool:
     return True
 
 
-class TubeComplex:
-    """The tubes of one poset with the bitsets the tubing walk needs.
+class TubeComplex(_TubeTable):
+    """The tube table of one poset with every tube added, and the tubing walk.
 
-    ``compat[i]`` and ``edges[i]`` are bitsets over tube indices: the tubes
-    nested in or disjoint from tube i, and the digraph successors of tube i.
+    Tube i is the i-th tube of ``enumerate_tubes``, and ``compat`` and
+    ``edges`` cover every tube.
     """
 
     def __init__(self, P: Poset):
-        tubes = enumerate_tubes(P)
-        self.tubes = tubes
+        super().__init__(P)
         self.dim = P.n - 2
-        self.edges = _disjoint_edges(tubes, [_union_rows(P.up, t) for t in tubes])
-        self.compat = [
-            sum(1 << j for j, t in enumerate(tubes) if s != t and s & t in (0, s, t))
-            for s in tubes
-        ]
+        for t in enumerate_tubes(P):
+            self._add(t, _union_rows(P.up, t))
 
     def walk(self) -> Iterator[int]:
         """Yield every proper tubing once as a bitset over tube indices, 0 first.

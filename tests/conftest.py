@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from posetassoc import Poset, as_mask, connected_posets, is_proper_tube, mask_members
 from posetassoc.isomorphism import refine
-from posetassoc.tubings import TubeComplex, _closes_cycle, _disjoint_edges, _tube_upset
+from posetassoc.tubings import TubeComplex, _closes_cycle, _tube_upset
 
 
 def corpus(max_n: int, min_n: int = 2) -> list[Poset]:
@@ -228,8 +228,8 @@ def listwise_is_tubing(P: Poset, tubes) -> bool:
     """The package's first proper-tubing test, which keeps nothing between calls.
 
     Every tube is checked afresh, every pair of tubes by a nested loop, and
-    the tube digraph is built over positions in ``tubes``, so each cycle is
-    caught at its last tube in list order.
+    the tube digraph is built by its own nested loop over positions in
+    ``tubes``, so each cycle is caught at its last tube in list order.
     """
     tubes = [as_mask(t) for t in tubes]
     if len(set(tubes)) != len(tubes):
@@ -242,7 +242,11 @@ def listwise_is_tubing(P: Poset, tubes) -> bool:
             inter = a & b
             if inter and inter != a and inter != b:
                 return False
-    edges = _disjoint_edges(tubes, upsets)
+    edges = [0] * len(tubes)
+    for k, (a, above) in enumerate(zip(tubes, upsets)):
+        for j, b in enumerate(tubes):
+            if not a & b and above & b:
+                edges[k] |= 1 << j
     return not any(_closes_cycle(edges, k, (1 << k) - 1) for k in range(len(tubes)))
 
 

@@ -254,6 +254,16 @@ class TestMalformedInput:
         )
         assert code == 1 and data["error"] == "MalformedInput"
 
+    @pytest.mark.parametrize("verb", ["decompose", "flip-map"])
+    def test_subset_names_a_label_twice(self, capsys, poset_file, tubing_file, verb):
+        # read as a set, the subset would be the autonomous singleton {b}
+        code, data = invoke_json(
+            capsys, verb, poset_file(chain(3)),
+            "--subset", "b,b", "--tubing", tubing_file([]),
+        )
+        assert code == 1 and data["error"] == "MalformedInput"
+        assert data["message"] == "--subset names a label twice"
+
     def test_poset_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "poset.json"
         path.write_bytes(b"\xff\xfe{")

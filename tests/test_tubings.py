@@ -31,7 +31,7 @@ from posetassoc import (
     tubing_to_labels,
 )
 from posetassoc.posets import mask_members
-from posetassoc.tubings import _closes_cycle, _is_proper_tubing, _TubeTable
+from posetassoc.tubings import TubeComplex, _closes_cycle, _is_proper_tubing, _TubeTable
 
 from conftest import (
     corpus,
@@ -121,6 +121,26 @@ class TestTubeDigraph:
         b = P.mask_of(["x1_2", "x2_2"])
         graph = tube_digraph(P, [a, b])
         assert graph[a] == (b,) and graph[b] == (a,)
+
+    def test_matches_definition(self, connected_upto_5):
+        # every tube plus up to four masks that are not tubes (the empty and
+        # the full mask can be drawn), in a shuffled order
+        rng = random.Random(18)
+        edges = 0
+        for P in connected_upto_5:
+            tubes = enumerate_tubes(P)
+            others = sorted(set(range(P.full_mask + 1)) - set(tubes))
+            masks = tubes + rng.sample(others, min(4, len(others)))
+            rng.shuffle(masks)
+            members = {m: set(mask_members(m)) for m in masks}
+            expected = {
+                s: tuple(t for t in masks if not members[s] & members[t]
+                         and any(P.less(x, y) for x in members[s] for y in members[t]))
+                for s in masks
+            }
+            assert tube_digraph(P, masks) == expected
+            edges += sum(map(len, expected.values()))
+        assert edges
 
     @pytest.mark.parametrize("tube", [0b11000, -3, -1])
     def test_tube_outside_the_poset(self, tube):
@@ -235,6 +255,20 @@ class TestTubeTable:
                     crossing += bool(inter) and inter not in (a, b)
                     cyclic += not inter and bool(upsets[a] & b and upsets[b] & a)
         assert crossing and cyclic
+
+    def test_complex_bitsets_match_their_definitions(self):
+        # the complex is the table with every tube added; each tube's bits
+        # must cover the tubes added before it and after it alike
+        for P in corpus(6):
+            cx = TubeComplex(P)
+            sets = [set(mask_members(t)) for t in cx.tubes]
+            for i, s in enumerate(sets):
+                compat = {j for j, t in enumerate(sets)
+                          if j != i and (not s & t or s <= t or t <= s)}
+                edges = {j for j, t in enumerate(sets)
+                         if not s & t and any(P.less(x, y) for x in s for y in t)}
+                assert set(mask_members(cx.compat[i])) == compat
+                assert set(mask_members(cx.edges[i])) == edges
 
 
 class TestEnumerateTubings:
