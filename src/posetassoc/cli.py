@@ -107,6 +107,8 @@ def _guard_size(n: int, force: bool, subject: str = "{n} elements exceed") -> No
 
 def _subset_mask(P: Poset, text: str) -> int:
     labels = [lab for lab in text.split(",") if lab]
+    if not labels:
+        raise MalformedInput("--subset names no label")
     if len(set(labels)) != len(labels):
         raise MalformedInput("--subset names a label twice")
     return P.mask_of(labels)

@@ -5,13 +5,12 @@ tubings, the vertices, as bitsets over the tubes; the permutohedron on n
 letters is A(graded(1, n - 1, 1)).  ``polytopes_equivalent`` compares
 f-vectors from the facet recursion first, and only when they agree
 searches the facet graphs for an isomorphism that carries the vertices
-onto the vertices.  ``two_face_census`` counts the vertices of each 2-face
-directly from the maximal tubings.
+onto the vertices.  ``two_face_census`` counts the polygons by their
+vertices with the facet recursion of ``f_vector``, without the tubings.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from typing import Iterable
@@ -20,7 +19,7 @@ from .errors import MalformedInput, NotATubing, TooSmall
 from .isomorphism import _isomorphisms
 from .posets import (Poset, _contract_rows, _union_rows, as_mask, complete_graded, iter_bits,
                      mask_members)
-from .tubings import TubeComplex, _require_usable, f_vector, is_proper_tubing
+from .tubings import TubeComplex, _face_stats, _require_usable, f_vector, is_proper_tubing
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -93,18 +92,15 @@ def two_face_census(P: Poset) -> Counter[int]:
     """Polygon sizes of the 2-faces of the tubing complex.
 
     A 2-face is a tubing with |P| - 4 tubes; its size is the number of
-    maximal tubings containing it, counted by dropping two tubes from each
-    maximal tubing.
+    maximal tubings containing it.  The census comes from the facet
+    recursion of ``f_vector``: each 2-face of the simple polytope lies in
+    |P| - 4 facets, and the 2-faces of a facet A(P|t) x A(P/t) are
+    products of faces of its factors, so no tubing is walked.
     """
     _require_usable(P)
     if P.n < 4:
         raise TooSmall("2-dimensional faces need at least four elements")
-    sizes: Counter[int] = Counter()
-    for chosen in TubeComplex(P).vertices():
-        bits = [1 << i for i in iter_bits(chosen)]
-        for a, b in itertools.combinations(bits, 2):
-            sizes[chosen ^ a ^ b] += 1
-    return Counter(sizes.values())
+    return Counter(dict(_face_stats(P.up, {}, True)[1]))
 
 
 # -- face products -------------------------------------------------------------

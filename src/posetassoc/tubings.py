@@ -17,9 +17,11 @@ candidate's successors inside the chosen tubes.  The walk's descending
 loop over candidates is the only other loop over the set bits of a mask in
 the package, because its order defines the walk.
 
-Face counts do not walk the tubings.  ``f_vector`` sums over the facets,
-one per tube t, each the product of the polytopes of the restriction P|t
-and the contraction P/t, so its cost follows tubes rather than tubings.
+Face counts and the 2-face census do not walk the tubings.  One facet
+recursion, ``_face_stats``, serves ``f_vector`` and
+``lattice.two_face_census``: it sums over the facets, one per tube t, each
+the product of the polytopes of the restriction P|t and the contraction
+P/t, so its cost follows tubes rather than tubings.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .posets import (Poset, _contract_rows, _cover_rows, _reach, _require_inside
                      iter_bits, mask_members)
 
 Tubing = frozenset[int]
+# (k, number of k-gons) pairs, one for each k that occurs among the 2-faces
+Census = tuple[tuple[int, int], ...]
 
 
 def _require_usable(P: Poset) -> None:
@@ -245,11 +249,15 @@ def enumerate_tubings(P: Poset) -> Iterator[Tubing]:
         yield cx.tubing(chosen)
 
 
-# The base case of the f-vector recursion.  A connected poset with at most
+# The base case of the facet recursion.  A connected poset with at most
 # this many elements has a polytope of dimension d <= 3, whose f-vector its
 # tube count fixes.  Over the 5-element catalog (Python 3.11, 2-vCPU x86_64
 # VM) that count took about 30 us a poset, the tubing walk 110 us and the
-# recursion carried down to 3 elements 235 us.
+# recursion carried down to 3 elements 235 us.  The 2-face census of a
+# 3-polytope needs the size of each facet, so there the base is at 4
+# elements, and 5 elements count the edges of each facet in
+# ``_polygon_facets``: about 50 us a poset, against 98 us for the products
+# f_0(P|t) f_0(P/t), which contract a tube.
 _BASE_SIZE = 5
 
 
@@ -260,6 +268,38 @@ def _base_f_vector(n: int, tubes: int) -> tuple[int, ...]:
     where Euler's relation and 2 f_1 = 3 f_0 give the rest.
     """
     return ((1,), (2, 1), (tubes, tubes, 1), (2 * tubes - 4, 3 * tubes - 6, tubes, 1))[n - 2]
+
+
+# ``_face_stats`` of the connected posets on 2 and 3 elements: a point and
+# a segment, with no 2-faces
+_SMALL_STATS = {2: ((1,), ()), 3: ((2, 1), ())}
+
+
+def _base_stats(n: int, tubes: int, polygons: bool) -> tuple[tuple[int, ...], Census]:
+    """``_face_stats`` of a connected poset on n elements with ``tubes`` tubes.
+
+    n <= _BASE_SIZE, and n <= 4 with ``polygons``: a polygon is its only 2-face.
+    """
+    return _base_f_vector(n, tubes), (((tubes, 1),) if n == 4 and polygons else ())
+
+
+def _polygon_facets(up: Sequence[int], down: Sequence[int], grown: set[int]) -> Census:
+    """The facets of a 3-dimensional A(P), which are all its 2-faces, by vertex count.
+
+    Facet t is a polygon with as many vertices as edges, and its edges are
+    the tubings {t, s}: s nested with t, or disjoint from it without a
+    tube-digraph edge each way.  ``grown`` holds the connected convex sets.
+    """
+    full = (1 << len(up)) - 1
+    tubes = [t for t in grown if t & (t - 1) and t != full]
+    gons: dict[int, int] = {}
+    for t in tubes:
+        above, below = _union_rows(up, t), _union_rows(down, t)
+        # t is nested with itself, hence the - 1
+        k = sum(1 for s in tubes
+                if (s & t in (s, t) if s & t else not (s & above and s & below))) - 1
+        gons[k] = gons.get(k, 0) + 1
+    return tuple(gons.items())
 
 
 def _tube_groups(up: Sequence[int], down: Sequence[int], grown: set[int]
@@ -289,59 +329,85 @@ def _tube_groups(up: Sequence[int], down: Sequence[int], grown: set[int]
     return groups.values()
 
 
-def _facet_f_vector(up: tuple[int, ...], memo: dict[tuple[int, ...], tuple[int, ...]]
-                    ) -> tuple[int, ...]:
-    """Face counts of the connected order with rows ``up``, memoized by rows.
+def _divide(total: int, parts: int, what: str) -> int:
+    """``total`` / ``parts``, which a simple polytope makes exact; else StructureViolation."""
+    q, r = divmod(total, parts)
+    if r:
+        raise StructureViolation(
+            f"{total} facet incidences of {what} are not a multiple of {parts}"
+        )
+    return q
 
-    The facet of tube t is A(P|t) x A(P/t), whose f-vector is the
-    convolution of the two, and each k-face of the simple d-polytope lies
-    in exactly d - k facets:
+
+def _face_stats(up: tuple[int, ...], memo: dict, polygons: bool
+                ) -> tuple[tuple[int, ...], Census]:
+    """Face counts of the connected order with rows ``up``, and its 2-faces.
+
+    The second entry pairs each k with the number of k-gons among the
+    2-faces when ``polygons`` is set, and is empty otherwise.  The facet of
+    tube t is A(P|t) x A(P/t), whose f-vector is the convolution of the
+    two, and each k-face of the simple d-polytope lies in exactly d - k
+    facets:
 
         f_k(P) = (1/(d-k)) * sum over t of [f(P|t) * f(P/t)]_k,  f_d = 1.
 
-    Equal rows are equal posets, so the memo key is exact.
+    A 2-face of A x B is a 2-face of A times a vertex of B, a vertex of A
+    times a 2-face of B, or an edge times an edge, so with c_k the number
+    of k-gons
+
+        c_k(P) = (1/(d-2)) * sum over t of
+                 [c_k(P|t) f_0(P/t) + f_0(P|t) c_k(P/t) + [k=4] f_1(P|t) f_1(P/t)].
+
+    Equal rows are equal posets, so the memo key is exact; one memo serves
+    one value of ``polygons``.
     """
-    f = memo.get(up)
-    if f is not None:
-        return f
+    stats = memo.get(up)
+    if stats is not None:
+        return stats
     n = len(up)
     down = _transpose(up)
     grown = _grow_tubes(up, down, _undirected(_cover_rows(up)))
-    if n <= _BASE_SIZE:
-        f = _base_f_vector(n, len(grown) - n - 1)
+    # the census of a 3-polytope needs its facets, so its base is at 4 elements
+    base = _BASE_SIZE - 1 if polygons else _BASE_SIZE
+    if n <= base:
+        stats = _base_stats(n, len(grown) - n - 1, polygons)
+    elif n == _BASE_SIZE:
+        stats = _base_f_vector(n, len(grown) - n - 1), _polygon_facets(up, down, grown)
     else:
         d, full = n - 2, (1 << n) - 1
         sums = [0] * d
+        gons: dict[int, int] = {}
         for tube, count in _tube_groups(up, down, grown):
             size = tube.bit_count()
-            if size <= _BASE_SIZE:
+            if size <= 3:
+                f_in, c_in = _SMALL_STATS[size]
+            elif size <= base:
                 # the tubes of P|t are the tubes of P inside t
-                inside, sub = 0, tube
+                inside, sub = -size - 1, tube
                 while sub:
                     inside += sub in grown
                     sub = (sub - 1) & tube
-                inner = _base_f_vector(size, inside - size - 1)
+                f_in, c_in = _base_stats(size, inside, polygons)
             else:
-                inner = _facet_f_vector(_restrict_rows(up, tube), memo)
+                f_in, c_in = _face_stats(_restrict_rows(up, tube), memo, polygons)
             rest = n - size + 1
-            # a connected poset on 3 elements has 2 tubes
-            outer = (_base_f_vector(rest, 2) if rest <= 3
-                     else _facet_f_vector(_contract_rows(up, full, (tube,)), memo))
-            for i, a in enumerate(inner):
+            f_out, c_out = (_SMALL_STATS[rest] if rest <= 3 else
+                            _face_stats(_contract_rows(up, full, (tube,)), memo, polygons))
+            for i, a in enumerate(f_in):
                 a *= count
-                for j, b in enumerate(outer):
+                for j, b in enumerate(f_out):
                     sums[i + j] += a * b
-        counts = []
-        for k, total in enumerate(sums):
-            q, r = divmod(total, d - k)
-            if r:
-                raise StructureViolation(
-                    f"{total} facet incidences of {k}-faces are not a multiple of {d - k}"
-                )
-            counts.append(q)
-        f = (*counts, 1)
-    memo[up] = f
-    return f
+            if polygons:
+                for k, c in c_in:
+                    gons[k] = gons.get(k, 0) + count * c * f_out[0]
+                for k, c in c_out:
+                    gons[k] = gons.get(k, 0) + count * f_in[0] * c
+                if len(f_in) > 1 and len(f_out) > 1:
+                    gons[4] = gons.get(4, 0) + count * f_in[1] * f_out[1]
+        f = (*(_divide(total, d - k, f"{k}-faces") for k, total in enumerate(sums)), 1)
+        stats = f, tuple((k, _divide(total, d - 2, f"{k}-gons")) for k, total in gons.items())
+    memo[up] = stats
+    return stats
 
 
 def f_vector(P: Poset) -> tuple[int, ...]:
@@ -354,7 +420,7 @@ def f_vector(P: Poset) -> tuple[int, ...]:
     this call only.
     """
     _require_usable(P)
-    return _facet_f_vector(P.up, {})
+    return _face_stats(P.up, {}, False)[0]
 
 
 def h_vector(f: Sequence[int]) -> tuple[int, ...]:

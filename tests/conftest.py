@@ -12,6 +12,8 @@ catalogs and on the hypothesis-drawn posets of ``connected_posets_7_to_9``.
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from posetassoc import Poset, as_mask, connected_posets, is_proper_tube, mask_members
 from posetassoc.isomorphism import refine
+from posetassoc.posets import iter_bits
 from posetassoc.tubings import TubeComplex, _closes_cycle, _tube_upset
 
 
@@ -59,6 +62,20 @@ def connected_posets_7_to_9(draw) -> Poset:
         for b in range(n)
         if rank[a] < rank[b] and draw(st.integers(0, 5)) == 0
     ]
+    return Poset.from_relations(base.labels, tree + extra)
+
+
+def seeded_poset(seed: int, n: int) -> Poset:
+    """A random tree with random edge directions, plus relations along its ranks."""
+    rng = random.Random(seed)
+    tree = []
+    for child in range(1, n):
+        parent = rng.randrange(child)
+        tree.append((parent, child) if rng.random() < 0.5 else (child, parent))
+    base = Poset.from_relations([f"v{i}" for i in range(n)], tree)
+    rank = [base.down[i].bit_count() for i in range(n)]
+    extra = [(a, b) for a in range(n) for b in range(n)
+             if rank[a] < rank[b] and rng.randrange(6) == 0]
     return Poset.from_relations(base.labels, tree + extra)
 
 
@@ -265,6 +282,21 @@ def walk_f_vector(P: Poset) -> tuple[int, ...]:
     for chosen in TubeComplex(P).walk():
         counts[d - chosen.bit_count()] += 1
     return tuple(counts)
+
+
+def walk_two_face_census(P: Poset) -> Counter[int]:
+    """Polygon sizes of the 2-faces by enumeration, the oracle of the recursion's census.
+
+    Each maximal tubing from ``TubeComplex.vertices`` lies in one 2-face for
+    each pair of its tubes, the face of the tubing without them, so
+    dropping two tubes in every way counts the vertices of every 2-face.
+    """
+    sizes: Counter[int] = Counter()
+    for chosen in TubeComplex(P).vertices():
+        bits = [1 << i for i in iter_bits(chosen)]
+        for a, b in itertools.combinations(bits, 2):
+            sizes[chosen ^ a ^ b] += 1
+    return Counter(sizes.values())
 
 
 def scan_face_vertices(P: Poset) -> list[tuple[int, tuple[int, ...], frozenset[int]]]:

@@ -264,6 +264,17 @@ class TestMalformedInput:
         assert code == 1 and data["error"] == "MalformedInput"
         assert data["message"] == "--subset names a label twice"
 
+    @pytest.mark.parametrize("verb", ["decompose", "flip-map"])
+    def test_subset_names_no_label(self, capsys, poset_file, tubing_file, verb):
+        # read as a set, the subset would be the trivially autonomous empty set
+        for text in (",", ""):
+            code, data = invoke_json(
+                capsys, verb, poset_file(chain(3)),
+                "--subset", text, "--tubing", tubing_file([]),
+            )
+            assert code == 1 and data["error"] == "MalformedInput"
+            assert data["message"] == "--subset names no label"
+
     def test_poset_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "poset.json"
         path.write_bytes(b"\xff\xfe{")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from itertools import islice
 
 import pytest
@@ -35,7 +34,7 @@ from posetassoc import flips
 from posetassoc.flips import _classify
 from posetassoc.tubings import _is_proper_tubing, _TubeTable
 
-from conftest import corpus, listwise_is_tubing
+from conftest import corpus, listwise_is_tubing, seeded_poset
 
 
 @pytest.fixture
@@ -319,20 +318,6 @@ def _assert_matches_oracle(P, tubings):
         assert fast == slow, (P, S)
 
 
-def _seeded_poset(seed: int, n: int) -> Poset:
-    """A random tree with random edge directions, plus relations along its ranks."""
-    rng = random.Random(seed)
-    tree = []
-    for child in range(1, n):
-        parent = rng.randrange(child)
-        tree.append((parent, child) if rng.random() < 0.5 else (child, parent))
-    base = Poset.from_relations([f"v{i}" for i in range(n)], tree)
-    rank = [base.down[i].bit_count() for i in range(n)]
-    extra = [(a, b) for a in range(n) for b in range(n)
-             if rank[a] < rank[b] and rng.randrange(6) == 0]
-    return Poset.from_relations(base.labels, tree + extra)
-
-
 @pytest.fixture(scope="module")
 def connected_upto_6():
     return corpus(6)
@@ -362,7 +347,7 @@ class TestFlipTubingsAgainstOracle:
 
     @pytest.mark.parametrize("seed, n", [(1, 7), (2, 7), (3, 8), (4, 8)])
     def test_seeded_larger_posets(self, seed, n):
-        P = _seeded_poset(seed, n)
+        P = seeded_poset(seed, n)
         _assert_matches_oracle(P, list(islice(enumerate_tubings(P), 1500)))
 
 

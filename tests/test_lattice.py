@@ -15,6 +15,7 @@ from posetassoc import (
     DisconnectedPoset,
     NotATubing,
     Poset,
+    StructureViolation,
     TooSmall,
     antichain,
     autonomous_subsets,
@@ -38,7 +39,8 @@ from posetassoc.lattice import _facet_graph
 from posetassoc.posets import _contract_rows, iter_bits
 from posetassoc.tubings import TubeComplex, is_proper_tubing
 
-from conftest import corpus, expanded_permutohedron, oracle_incidence, scan_face_vertices
+from conftest import (corpus, expanded_permutohedron, oracle_incidence, scan_face_vertices,
+                      seeded_poset, walk_two_face_census)
 
 
 def stirling2_by_inclusion_exclusion(n: int, k: int) -> int:
@@ -361,6 +363,42 @@ class TestPolygonCensus:
     def test_too_small(self):
         with pytest.raises(TooSmall):
             two_face_census(chain(3))
+
+    def test_recursion_matches_the_walk(self):
+        # every connected poset with 4-6 elements, every 5th with 7, and the
+        # graded posets and chain of the benchmark and the paper
+        posets = [*corpus(6, min_n=4), *connected_posets(7)[::5], chain(9),
+                  *(complete_graded(parts) for parts in [(1, 2, 2), (2, 2, 2), (3, 1, 3)])]
+        for P in posets:
+            assert two_face_census(P) == walk_two_face_census(P), P
+
+    @pytest.mark.parametrize(
+        "P",
+        [*(seeded_poset(seed, 8 + seed % 3) for seed in range(1, 10)),
+         complete_graded((3, 3, 3)), complete_graded((2, 3, 2, 3))],
+        ids=[*(f"seeded{seed}-{8 + seed % 3}" for seed in range(1, 10)),
+             "graded3,3,3", "graded2,3,2,3"],
+    )
+    def test_census_against_the_f_vector_beyond_the_catalogs(self, P):
+        # the 2-faces are f_2 polygons, and each vertex of a simple d-polytope
+        # lies in C(d, 2) of them
+        f, census, d = f_vector(P), two_face_census(P), P.n - 2
+        assert sum(census.values()) == f[2]
+        assert sum(k * count for k, count in census.items()) == math.comb(d, 2) * f[0]
+
+    def test_inexact_division_is_internal_error(self, monkeypatch):
+        # one triangle too many on each of the seven 5-element factors of
+        # chain(6) leaves an odd count of 2-face incidences
+        from posetassoc import tubings
+
+        base = tubings._polygon_facets
+
+        def bumped(*args):
+            return (*base(*args), (3, 1))
+
+        monkeypatch.setattr(tubings, "_polygon_facets", bumped)
+        with pytest.raises(StructureViolation, match="3-gons are not a multiple of 2"):
+            two_face_census(chain(6))
 
     def test_all_entries_at_least_three(self, connected_upto_5):
         for P in connected_upto_5:
