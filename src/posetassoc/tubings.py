@@ -255,9 +255,7 @@ def enumerate_tubings(P: Poset) -> Iterator[Tubing]:
 # VM) that count took about 30 us a poset, the tubing walk 110 us and the
 # recursion carried down to 3 elements 235 us.  The 2-face census of a
 # 3-polytope needs the size of each facet, so there the base is at 4
-# elements, and 5 elements count the edges of each facet in
-# ``_polygon_facets``: about 50 us a poset, against 98 us for the products
-# f_0(P|t) f_0(P/t), which contract a tube.
+# elements.
 _BASE_SIZE = 5
 
 
@@ -270,36 +268,12 @@ def _base_f_vector(n: int, tubes: int) -> tuple[int, ...]:
     return ((1,), (2, 1), (tubes, tubes, 1), (2 * tubes - 4, 3 * tubes - 6, tubes, 1))[n - 2]
 
 
-# ``_face_stats`` of the connected posets on 2 and 3 elements: a point and
-# a segment, with no 2-faces
-_SMALL_STATS = {2: ((1,), ()), 3: ((2, 1), ())}
-
-
 def _base_stats(n: int, tubes: int, polygons: bool) -> tuple[tuple[int, ...], Census]:
     """``_face_stats`` of a connected poset on n elements with ``tubes`` tubes.
 
     n <= _BASE_SIZE, and n <= 4 with ``polygons``: a polygon is its only 2-face.
     """
     return _base_f_vector(n, tubes), (((tubes, 1),) if n == 4 and polygons else ())
-
-
-def _polygon_facets(up: Sequence[int], down: Sequence[int], grown: set[int]) -> Census:
-    """The facets of a 3-dimensional A(P), which are all its 2-faces, by vertex count.
-
-    Facet t is a polygon with as many vertices as edges, and its edges are
-    the tubings {t, s}: s nested with t, or disjoint from it without a
-    tube-digraph edge each way.  ``grown`` holds the connected convex sets.
-    """
-    full = (1 << len(up)) - 1
-    tubes = [t for t in grown if t & (t - 1) and t != full]
-    gons: dict[int, int] = {}
-    for t in tubes:
-        above, below = _union_rows(up, t), _union_rows(down, t)
-        # t is nested with itself, hence the - 1
-        k = sum(1 for s in tubes
-                if (s & t in (s, t) if s & t else not (s & above and s & below))) - 1
-        gons[k] = gons.get(k, 0) + 1
-    return tuple(gons.items())
 
 
 def _tube_groups(up: Sequence[int], down: Sequence[int], grown: set[int]
@@ -371,8 +345,6 @@ def _face_stats(up: tuple[int, ...], memo: dict, polygons: bool
     base = _BASE_SIZE - 1 if polygons else _BASE_SIZE
     if n <= base:
         stats = _base_stats(n, len(grown) - n - 1, polygons)
-    elif n == _BASE_SIZE:
-        stats = _base_f_vector(n, len(grown) - n - 1), _polygon_facets(up, down, grown)
     else:
         d, full = n - 2, (1 << n) - 1
         sums = [0] * d
@@ -380,7 +352,8 @@ def _face_stats(up: tuple[int, ...], memo: dict, polygons: bool
         for tube, count in _tube_groups(up, down, grown):
             size = tube.bit_count()
             if size <= 3:
-                f_in, c_in = _SMALL_STATS[size]
+                # a point or a segment, whatever its tubes
+                f_in, c_in = _base_stats(size, 0, polygons)
             elif size <= base:
                 # the tubes of P|t are the tubes of P inside t
                 inside, sub = -size - 1, tube
@@ -391,7 +364,7 @@ def _face_stats(up: tuple[int, ...], memo: dict, polygons: bool
             else:
                 f_in, c_in = _face_stats(_restrict_rows(up, tube), memo, polygons)
             rest = n - size + 1
-            f_out, c_out = (_SMALL_STATS[rest] if rest <= 3 else
+            f_out, c_out = (_base_stats(rest, 0, polygons) if rest <= 3 else
                             _face_stats(_contract_rows(up, full, (tube,)), memo, polygons))
             for i, a in enumerate(f_in):
                 a *= count

@@ -387,16 +387,17 @@ class TestPolygonCensus:
         assert sum(k * count for k, count in census.items()) == math.comb(d, 2) * f[0]
 
     def test_inexact_division_is_internal_error(self, monkeypatch):
-        # one triangle too many on each of the seven 5-element factors of
-        # chain(6) leaves an odd count of 2-face incidences
+        # a triangle on every 3-element factor, whose polytope is a segment,
+        # leaves an odd count of 2-face incidences in chain(6)
         from posetassoc import tubings
 
-        base = tubings._polygon_facets
+        base = tubings._base_stats
 
-        def bumped(*args):
-            return (*base(*args), (3, 1))
+        def bumped(n, tubes, polygons):
+            f, census = base(n, tubes, polygons)
+            return (f, (*census, (3, 1))) if n == 3 else (f, census)
 
-        monkeypatch.setattr(tubings, "_polygon_facets", bumped)
+        monkeypatch.setattr(tubings, "_base_stats", bumped)
         with pytest.raises(StructureViolation, match="3-gons are not a multiple of 2"):
             two_face_census(chain(6))
 
