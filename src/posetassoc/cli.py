@@ -237,11 +237,8 @@ def _cmd_equiv(P: Poset, args, parser) -> tuple[dict, list]:
 
 
 def _cmd_polygons(P: Poset, args, parser) -> tuple[dict, list]:
-    census = two_face_census(P)
-    pairs = sorted(census.items())
-    return {"polygons": [[size, count] for size, count in pairs]}, [
-        [size, count] for size, count in pairs
-    ]
+    pairs = [[size, count] for size, count in sorted(two_face_census(P).items())]
+    return {"polygons": pairs}, pairs
 
 
 def _cmd_flip_seq(P: Poset, args, parser) -> tuple[dict, list]:
@@ -265,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused by every run."""
     parser = argparse.ArgumentParser(
         prog="posetassoc",
-        description="Tubings, f-vectors, flips, and face lattices of poset associahedra.",
+        description="Tubings, f-vectors, 2-face censuses, flips and combinatorial equivalence "
+                    "of poset associahedra.",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     verbs = parser.add_subparsers(dest="verb", required=True)
@@ -298,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--tubing", required=True, help="tubing JSON file")
     verb("check-invariance", "verify f-vector preservation and flip-map round trips",
          _cmd_check_invariance, guarded=True)
-    sub = verb("equiv", "combinatorial equivalence of face lattices", _cmd_equiv,
-               guarded=True)
+    sub = verb("equiv", "whether two poset associahedra, or one and a permutohedron, are "
+               "combinatorially equivalent", _cmd_equiv, guarded=True)
     sub.add_argument("other", nargs="?", help="second poset source")
     sub.add_argument("--permutohedron", type=int, metavar="N",
                      help="compare against the permutohedron on N letters")

@@ -74,41 +74,31 @@ def refine(rows: Sequence[int], colors: Sequence) -> list[int]:
     return _refine(*_adjacency(rows), colors)
 
 
-def find_isomorphism(
-    out1: Sequence[int],
-    out2: Sequence[int],
-    colors1: Sequence | None = None,
-    colors2: Sequence | None = None,
-) -> tuple[int, ...] | None:
+def find_isomorphism(out1: Sequence[int], out2: Sequence[int]) -> tuple[int, ...] | None:
     """The least isomorphism of ``_isomorphisms``, or None when there is none."""
-    return next(_isomorphisms(out1, out2, colors1, colors2), None)
+    return next(_isomorphisms(out1, out2), None)
 
 
-def _isomorphisms(out1: Sequence[int], out2: Sequence[int], colors1: Sequence | None = None,
-                  colors2: Sequence | None = None) -> Iterator[tuple[int, ...]]:
-    """Every isomorphism from graph 1 onto graph 2 that preserves edges and
-    colours, once each, as the tuple of images of vertex 0, 1, 2, ... of
-    graph 1, in lexicographic order.
+def _isomorphisms(out1: Sequence[int], out2: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism from digraph 1 onto digraph 2, once each, as the
+    tuple of images of vertex 0, 1, 2, ... of graph 1, in lexicographic
+    order.
 
-    The disjoint union, graph 2 shifted up by n vertices, is refined so both
-    graphs are numbered by one colour table.  The search branches on the
-    lowest vertex of graph 1 whose colour is not a singleton, trying the
-    vertices of graph 2 with that colour in ascending order; each choice
-    gives the pair one fresh colour and refines again, and a branch whose
-    halves carry different colour multisets holds no isomorphism.  Every
-    isomorphism of a branch maps a singleton class onto its partner, so
-    the vertices below the branch vertex are forced, each isomorphism lies
-    under exactly one leaf, and the leaves come in lexicographic order.
-    Once the halves pair off, the mapping is read off the colours and
-    checked edge by edge.
+    The disjoint union, graph 2 shifted up by n vertices, is refined from
+    the uniform colouring so both graphs are numbered by one colour table.
+    The search branches on the lowest vertex of graph 1 whose colour is not
+    a singleton, trying the vertices of graph 2 with that colour in
+    ascending order; each choice gives the pair one fresh colour and refines
+    again, and a branch whose halves carry different colour multisets holds
+    no isomorphism.  Every isomorphism of a branch maps a singleton class
+    onto its partner, so the vertices below the branch vertex are forced,
+    each isomorphism lies under exactly one leaf, and the leaves come in
+    lexicographic order.  Once the halves pair off, the mapping is read off
+    the colours and checked edge by edge.
     """
     n = len(out1)
     if len(out2) != n:
         return
-    if colors1 is None:
-        colors1 = [0] * n
-    if colors2 is None:
-        colors2 = [0] * n
     outs, ins = _adjacency([*out1, *(row << n for row in out2)])
     # Depth-first over colourings still to refine.  Each branch is one
     # generator of trial colourings, built one at a time in ascending target
@@ -116,7 +106,7 @@ def _isomorphisms(out1: Sequence[int], out2: Sequence[int], colors1: Sequence | 
     # colours: a balanced colouring with n colours pairs the halves off, and
     # one more round would split a pair only if the mapping read off it
     # fails the edge check anyway.
-    stack = [iter([[*colors1, *colors2]])]
+    stack = [iter([[0] * (2 * n)])]
     while stack:
         trial = next(stack[-1], None)
         if trial is None:

@@ -259,21 +259,15 @@ def enumerate_tubings(P: Poset) -> Iterator[Tubing]:
 _BASE_SIZE = 5
 
 
-def _base_f_vector(n: int, tubes: int) -> tuple[int, ...]:
-    """Face counts of a connected poset on n <= _BASE_SIZE elements with ``tubes`` tubes.
-
-    Its polytope is a point, a segment or a polygon, or a simple 3-polytope,
-    where Euler's relation and 2 f_1 = 3 f_0 give the rest.
-    """
-    return ((1,), (2, 1), (tubes, tubes, 1), (2 * tubes - 4, 3 * tubes - 6, tubes, 1))[n - 2]
-
-
 def _base_stats(n: int, tubes: int, polygons: bool) -> tuple[tuple[int, ...], Census]:
     """``_face_stats`` of a connected poset on n elements with ``tubes`` tubes.
 
-    n <= _BASE_SIZE, and n <= 4 with ``polygons``: a polygon is its only 2-face.
+    n <= _BASE_SIZE, and n <= 4 with ``polygons``: a polygon is its only
+    2-face.  The polytope is a point, a segment or a polygon, or a simple
+    3-polytope, where Euler's relation and 2 f_1 = 3 f_0 give the rest.
     """
-    return _base_f_vector(n, tubes), (((tubes, 1),) if n == 4 and polygons else ())
+    f = ((1,), (2, 1), (tubes, tubes, 1), (2 * tubes - 4, 3 * tubes - 6, tubes, 1))[n - 2]
+    return f, (((tubes, 1),) if n == 4 and polygons else ())
 
 
 def _tube_groups(up: Sequence[int], down: Sequence[int], grown: set[int]

@@ -318,12 +318,11 @@ def scan_face_vertices(P: Poset) -> list[tuple[int, tuple[int, ...], frozenset[i
     ]
 
 
-def oracle_incidence(faces) -> tuple[list[int], list[int], list[tuple], list[tuple]]:
+def oracle_incidence(faces) -> tuple[list[int], list[tuple], list[tuple]]:
     """Vertex-facet incidence read off (rank, key, vertex ids) face records.
 
     Returns the adjacency rows (vertices by id, then the facets in the
-    order given), their colours (0 for a vertex, 1 for a facet), and the
-    vertex and facet keys in the same orders.
+    order given), and the vertex and facet keys in the same orders.
     """
     dim = max(rank for rank, _, _ in faces)
     vertices = sorted((min(ids), key) for rank, key, ids in faces if rank == 0)
@@ -334,8 +333,20 @@ def oracle_incidence(faces) -> tuple[list[int], list[int], list[tuple], list[tup
         for v in ids:
             rows[v] |= 1 << (shift + f)
             rows[shift + f] |= 1 << v
-    return (rows, [0] * shift + [1] * len(facets), [key for _, key in vertices],
-            [key for key, _ in facets])
+    return rows, [key for _, key in vertices], [key for key, _ in facets]
+
+
+def incidence_digraph(faces) -> list[int]:
+    """``oracle_incidence`` rows with only the vertex -> facet edges kept.
+
+    Edge direction tells the two sides apart: every vertex of a polytope of
+    positive dimension lies in a facet, so the vertices are exactly the
+    sources and the facets the sinks, and an isomorphism of two such
+    digraphs is an incidence isomorphism that maps vertices to vertices.
+    A point has no facets and is the one row [0].
+    """
+    rows, vertices, _ = oracle_incidence(faces)
+    return rows[:len(vertices)] + [0] * (len(rows) - len(vertices))
 
 
 def expanded_permutohedron(n: int) -> tuple[list[tuple], list[tuple[int, int]]]:
@@ -409,14 +420,12 @@ def product_canonical_rows(rows) -> tuple[int, ...]:
     return best
 
 
-def backtrack_isomorphism(out1, out2, colors1=None, colors2=None):
-    """Lexicographically least colour- and edge-preserving bijection, or None."""
+def backtrack_isomorphism(out1, out2):
+    """Lexicographically least edge-preserving bijection, or None."""
     n = len(out1)
     if len(out2) != n:
         return None
-    colors1 = [0] * n if colors1 is None else colors1
-    colors2 = [0] * n if colors2 is None else colors2
-    colors = refine([*out1, *(row << n for row in out2)], [*colors1, *colors2])
+    colors = refine([*out1, *(row << n for row in out2)], [0] * (2 * n))
     c1, c2 = colors[:n], colors[n:]
     if sorted(c1) != sorted(c2):
         return None

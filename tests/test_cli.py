@@ -920,3 +920,12 @@ class TestFuzz:
                 assert {"error", "message"} <= payload.keys(), argv
         else:
             assert out.startswith("schema_version,1\n"), (argv, out)
+
+
+class TestHelp:
+    @pytest.mark.parametrize("verb", ["", *TestFuzz.VERBS])
+    def test_help_exits_zero(self, capsys, verb):
+        with pytest.raises(SystemExit) as err:
+            run([verb, "--help"] if verb else ["--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: posetassoc {verb}".rstrip())

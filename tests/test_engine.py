@@ -67,7 +67,7 @@ class TestCatalogAgainstSlowPath:
         # the vertex reader and the 2-face census against every face's vertex set
         for P in connected_upto_6:
             faces = scan_face_vertices(P)
-            rows, _, vertex_keys, facet_keys = oracle_incidence(faces)
+            rows, vertex_keys, facet_keys = oracle_incidence(faces)
             verts = len(vertex_keys)
             want = {(frozenset(vertex_keys[v]), tube) for f, (tube,) in enumerate(facet_keys)
                     for v in iter_bits(rows[verts + f])}

@@ -155,13 +155,18 @@ class TestReconstruct:
         assert rebuilt == frozenset([P.mask_of(["a", "s2"])])
 
     def test_identity_roundtrip(self, connected_upto_5):
+        # and each image, decomposed on the flipped poset, has the reversed
+        # blocks of its source, as flip-map prints it
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))
             for S in autonomous_subsets(P, 2):
-                for T in tubings:
+                flipped = flip(P, S)
+                for T, image in zip(tubings, flip_tubings(P, S, tubings), strict=True):
                     cls = classify_tubes(P, S, T)
                     dec = decompose(P, S, cls)
                     assert reconstruct(P, S, dec) == cls.bad
+                    back = decompose(flipped, S, classify_tubes(flipped, S, image))
+                    assert back == dec.reversed_blocks()
 
     @pytest.mark.parametrize(
         "subset, blocks, lower_sets",

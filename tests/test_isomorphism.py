@@ -30,7 +30,7 @@ from conftest import (
     connected_posets_7_to_9,
     corpus,
     expanded_permutohedron,
-    oracle_incidence,
+    incidence_digraph,
     product_canonical_rows,
     scan_face_vertices,
 )
@@ -98,22 +98,6 @@ class TestFindIsomorphismAgainstBacktracking:
             found += witness is not None
         assert 0 < found < len(catalog())
 
-    def test_colored_inputs(self):
-        rng = random.Random(8)
-        for P in catalog(5):
-            colors = [rng.randrange(2) for _ in range(P.n)]
-            perm = list(range(P.n))
-            rng.shuffle(perm)
-            rows = relabel(P.up, perm)
-            moved = [0] * P.n
-            for i, c in enumerate(colors):
-                moved[perm[i]] = c
-            other = [1 - c for c in moved]
-            for target in (moved, other):
-                got = find_isomorphism(P.up, rows, colors, target)
-                assert got == backtrack_isomorphism(P.up, rows, colors, target)
-            assert find_isomorphism(P.up, rows, colors, moved) is not None
-
     def test_random_digraphs(self):
         # Digraphs, not only posets.  Some pairs pair off at n colours one
         # round before refinement would split them, and only the edge check
@@ -140,12 +124,12 @@ class TestFindIsomorphismAgainstBacktracking:
     def test_four_element_incidences(self):
         # the 4-element polytopes are polygons, so the hexagon joins them
         incidences = [scan_incidence(P) for P in connected_posets(4)]
-        incidences.append(oracle_incidence(expanded_permutohedron(3)[0])[:2])
+        incidences.append(incidence_digraph(expanded_permutohedron(3)[0]))
         found = 0
-        for rows_a, colors_a in incidences:
-            for rows_b, colors_b in incidences:
-                witness = find_isomorphism(rows_a, rows_b, colors_a, colors_b)
-                assert witness == backtrack_isomorphism(rows_a, rows_b, colors_a, colors_b)
+        for rows_a in incidences:
+            for rows_b in incidences:
+                witness = find_isomorphism(rows_a, rows_b)
+                assert witness == backtrack_isomorphism(rows_a, rows_b)
                 found += witness is not None
         assert found > len(incidences)
 
@@ -153,26 +137,21 @@ class TestFindIsomorphismAgainstBacktracking:
         # The backtracking oracle stalls on about a hundred of these pairs
         # (the blind search the engine replaced), so it checks each incidence
         # against itself, and networkx's VF2++ decides every pair with equal
-        # f-vectors; each witness is checked edge by edge and colour by colour.
+        # f-vectors; each witness is checked edge by edge.
         posets = connected_posets(5)
         f_vectors = [f_vector(P) for P in posets]
         incidences = [scan_incidence(P) for P in posets]
-        for rows, colors in incidences:
-            assert find_isomorphism(rows, rows, colors, colors) == backtrack_isomorphism(
-                rows, rows, colors, colors
-            )
-        graphs = [colored_graph(rows, colors) for rows, colors in incidences]
+        for rows in incidences:
+            assert find_isomorphism(rows, rows) == backtrack_isomorphism(rows, rows)
+        graphs = [digraph(rows) for rows in incidences]
         answers = []
         for a, b in itertools.combinations_with_replacement(range(len(posets)), 2):
             if f_vectors[a] != f_vectors[b]:
                 continue
-            (rows_a, colors_a), (rows_b, colors_b) = incidences[a], incidences[b]
-            witness = find_isomorphism(rows_a, rows_b, colors_a, colors_b)
-            assert (witness is not None) == nx.vf2pp_is_isomorphic(
-                graphs[a], graphs[b], node_label="color"
-            )
+            rows_a, rows_b = incidences[a], incidences[b]
+            witness = find_isomorphism(rows_a, rows_b)
+            assert (witness is not None) == nx.vf2pp_is_isomorphic(graphs[a], graphs[b])
             if witness is not None:
-                assert [colors_b[j] for j in witness] == colors_a
                 assert relabel(rows_a, witness) == rows_b
             answers.append(witness is not None)
         assert 0 < answers.count(False) < answers.count(True)
@@ -182,11 +161,11 @@ class TestFindIsomorphismAgainstBacktracking:
         # branch.  On CPython 3.11 a search holding one colouring per
         # candidate at once peaks at 10 MiB here, one that builds them
         # lazily at 1.5 MiB.  The incidences are built before tracing.
-        rows_a, colors_a = scan_incidence(complete_graded((3, 1, 3)))
-        rows_b, colors_b = oracle_incidence(expanded_permutohedron(6)[0])[:2]
+        rows_a = scan_incidence(complete_graded((3, 1, 3)))
+        rows_b = incidence_digraph(expanded_permutohedron(6)[0])
         tracemalloc.start()
         try:
-            witness = find_isomorphism(rows_a, rows_b, colors_a, colors_b)
+            witness = find_isomorphism(rows_a, rows_b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,8 +174,8 @@ class TestFindIsomorphismAgainstBacktracking:
 
 
 def scan_incidence(P):
-    """Vertex-facet incidence rows and colours of A(P), read off the face scan."""
-    return oracle_incidence(scan_face_vertices(P))[:2]
+    """Vertex-to-facet incidence digraph of A(P), read off the face scan."""
+    return incidence_digraph(scan_face_vertices(P))
 
 
 def ascending_isomorphisms(matcher) -> list[tuple[int, ...]]:
@@ -218,8 +197,7 @@ class TestAllIsomorphisms:
             rows = _facet_graph(cx.vertices(), len(cx.tubes))
             for other in (rows, shuffled(rows, rng)):
                 got = list(_isomorphisms(rows, other))
-                matcher = nx.isomorphism.GraphMatcher(
-                    colored_graph(rows, [0] * len(rows)), colored_graph(other, [0] * len(rows)))
+                matcher = nx.isomorphism.DiGraphMatcher(digraph(rows), digraph(other))
                 assert got == ascending_isomorphisms(matcher), P
                 assert got and find_isomorphism(rows, other) == got[0]
 
@@ -238,12 +216,3 @@ class TestAllIsomorphisms:
                 assert find_isomorphism(a, other) == (got[0] if got else None)
                 counts.append(len(got))
         assert 0 in counts and max(counts) > 1
-
-
-def colored_graph(rows, colors) -> nx.Graph:
-    graph = nx.Graph()
-    for i, color in enumerate(colors):
-        graph.add_node(i, color=color)
-    for i, row in enumerate(rows):
-        graph.add_edges_from((i, j) for j in range(len(rows)) if row >> j & 1)
-    return graph

@@ -39,8 +39,8 @@ from posetassoc.lattice import _facet_graph
 from posetassoc.posets import _contract_rows, iter_bits
 from posetassoc.tubings import TubeComplex, is_proper_tubing
 
-from conftest import (corpus, expanded_permutohedron, oracle_incidence, scan_face_vertices,
-                      seeded_poset, walk_two_face_census)
+from conftest import (corpus, expanded_permutohedron, incidence_digraph, oracle_incidence,
+                      scan_face_vertices, seeded_poset, walk_two_face_census)
 
 
 def stirling2_by_inclusion_exclusion(n: int, k: int) -> int:
@@ -176,7 +176,7 @@ class TestPermutohedron:
         # of the letters 1..n
         faces, _ = expanded_permutohedron(n)
         assert rank_counts(faces) == permutohedron_f_vector(n)
-        rows, _, keys, facets = oracle_incidence(faces)
+        rows, keys, facets = oracle_incidence(faces)
         want = {(keys[v], facets[f][0]) for f in range(len(facets))
                 for v in iter_bits(rows[len(keys) + f])}
         got = {(tuple((x + 1,) for x in perm), tuple(x + 1 for x in iter_bits(s)))
@@ -251,7 +251,7 @@ class TestPolytopesEquivalent:
 
     def test_agrees_with_the_lattices(self, catalog):
         posets, scans = catalog
-        incidences = [oracle_incidence(faces)[:2] for faces in scans]
+        incidences = [incidence_digraph(faces) for faces in scans]
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, faces in enumerate(scans):
             groups.setdefault(rank_counts(faces), []).append(i)
@@ -263,16 +263,14 @@ class TestPolytopesEquivalent:
         assert sum(posets[i].n <= 5 for i, _ in pairs) == 244 and len(pairs) == 452
         answers = set()
         for i, j in pairs:
-            (rows_a, colors_a), (rows_b, colors_b) = incidences[i], incidences[j]
-            want = find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
+            want = find_isomorphism(incidences[i], incidences[j]) is not None
             assert polytopes_equivalent(posets[i], posets[j]) == want, (posets[i], posets[j])
             answers.add(want)
-        permutohedra = {n: oracle_incidence(expanded_permutohedron(n)[0])[:2] for n in range(1, 6)}
+        permutohedra = {n: incidence_digraph(expanded_permutohedron(n)[0]) for n in range(1, 6)}
         permutohedral = 0
         for i, P in enumerate(posets):
             if rank_counts(scans[i]) == permutohedron_f_vector(P.n - 1):
-                (rows_a, colors_a), (rows_b, colors_b) = incidences[i], permutohedra[P.n - 1]
-                want = find_isomorphism(rows_a, rows_b, colors_a, colors_b) is not None
+                want = find_isomorphism(incidences[i], permutohedra[P.n - 1]) is not None
                 assert polytopes_equivalent(P, P.n - 1) == want, P
                 answers.add(want)
                 permutohedral += 1

@@ -361,13 +361,13 @@ class TestFacetRecursion:
         # one vertex too many on every 4-element factor breaks a division
         from posetassoc import tubings
 
-        base = tubings._base_f_vector
+        base = tubings._base_stats
 
-        def bumped(n, tubes):
-            f = base(n, tubes)
-            return (f[0] + 1, *f[1:]) if n == 4 else f
+        def bumped(n, tubes, polygons):
+            f, census = base(n, tubes, polygons)
+            return ((f[0] + 1, *f[1:]) if n == 4 else f), census
 
-        monkeypatch.setattr(tubings, "_base_f_vector", bumped)
+        monkeypatch.setattr(tubings, "_base_stats", bumped)
         with pytest.raises(StructureViolation, match="not a multiple of 4"):
             f_vector(chain(6))
 
