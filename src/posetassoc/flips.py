@@ -7,11 +7,16 @@ below and one from above.  Each chain is recorded as a nested sequence of
 outside parts with star marks, plus the blocks of subset elements absorbed
 at the starred steps; reversing the block order and replaying the recursion
 on the flipped poset yields the image tubing.  `flip_tubings` flips the
-subset once per call and validates every step of every tubing, so a broken
+subset once per call and checks every tubing: the input as given, the
+nesting of its bad-tube chains, the image size and the image, so a broken
 assumption fails loudly instead of producing a silently wrong tubing.  What
-it does once per call rather than once per tubing is per-tube work: each
-mask's tube test, each pair of tubes' compatibility and digraph edges (in
-a tube table per poset) and each tube's kind relative to the subset.
+it does once per call rather than once per tubing is per-tube work (each
+mask's tube test, each pair of tubes' compatibility and digraph edges in a
+tube table per poset, and each tube's kind relative to the subset) and
+per-chain-pair work: the bad tubes of the image depend only on the lower
+and upper chains and the subset, so `decompose`, its
+`Decomposition.validate` (a pure function of that pair) and the rebuild run
+once for each distinct pair of chains.
 """
 
 from __future__ import annotations
@@ -278,23 +283,32 @@ def flip_tubings(
     tubes carry over unchanged; bad tubes are decomposed, the block order
     reversed, and the result rebuilt on the flipped poset.  Every input, as
     given, and every image is checked in full: a proper tubing, bad-tube
-    chains nested, the decomposition validated, the image the same size.
-    What the call remembers, for its own life only, is one tube table for
-    P and one for the flipped poset (each mask's tube test, and each pair
-    of tubes' compatibility and digraph edges, done once), and the kind of
-    each tube of P relative to the subset.
+    chains nested, the image the same size.  The decomposition is validated
+    once per distinct (lower, upper) pair of bad-tube chains, since it is a
+    pure function of that pair and the subset.  What the call remembers, for
+    its own life only, is one tube table for P and one for the flipped
+    poset (each mask's tube test, and each pair of tubes' compatibility and
+    digraph edges, done once), the kind of each tube of P relative to the
+    subset, and the rebuilt bad tubes of each chain pair.  A pair whose
+    decomposition raises is not remembered, so it raises again.
     """
     s_mask = as_mask(subset)
     flipped = flip(P, s_mask)
     table = _TubeTable(P)
     flipped_table = _TubeTable(flipped)
     kind_of: dict[int, int] = {}
+    rebuilt: dict[tuple[tuple[int, ...], tuple[int, ...]], frozenset[int]] = {}
     for tubing in tubings:
         tubes = [as_mask(t) for t in tubing]
         classification = _classify(s_mask, tubes, table, kind_of)
-        decomposition = decompose(P, s_mask, classification)
-        # reversal keeps every condition that decompose has validated
-        new_bad = _rebuild(decomposition.reversed_blocks())
+        # each chain is nested and sorted by size, so one chain is one tuple
+        chains = (classification.lower, classification.upper)
+        new_bad = rebuilt.get(chains)
+        if new_bad is None:
+            decomposition = decompose(P, s_mask, classification)
+            # reversal keeps every condition that decompose has validated
+            new_bad = _rebuild(decomposition.reversed_blocks())
+            rebuilt[chains] = new_bad
         image = classification.good | new_bad
         if len(image) != len(tubes):
             raise StructureViolation(
@@ -310,17 +324,3 @@ def flip_tubing(
 ) -> Tubing:
     """Image of one proper tubing under the flip of an autonomous subset."""
     return next(flip_tubings(P, subset, [tubing]))
-
-
-def is_weakly_increasing(P: Poset, blocks: Iterable[int]) -> bool:
-    """No element of a later block lies strictly below one of an earlier block.
-
-    Blocks naming an element outside the poset are not weakly increasing.
-    """
-    earlier = 0
-    for block in blocks:
-        mask = as_mask(block)
-        if mask & ~P.full_mask or _union_rows(P.up, mask) & earlier:
-            return False
-        earlier |= mask
-    return True

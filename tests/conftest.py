@@ -162,6 +162,24 @@ def masks_to_sets(tubing) -> set[frozenset[int]]:
     return {frozenset(mask_members(t)) for t in tubing}
 
 
+def is_weakly_increasing(P: Poset, blocks) -> bool:
+    """No element of a later block lies strictly below one of an earlier block.
+
+    Blocks are masks; one naming an element outside the poset, as a negative
+    mask does, is not weakly increasing.
+    """
+    earlier: list[int] = []
+    for block in blocks:
+        mask = as_mask(block)
+        if mask < 0 or mask >> P.n:
+            return False
+        members = [x for x in range(P.n) if mask >> x & 1]
+        if any(P.less(x, y) for x in members for y in earlier):
+            return False
+        earlier += members
+    return True
+
+
 # -- slow reference enumerators and checker -------------------------------------
 #
 # The package's first enumerators, kept as differential oracles for the

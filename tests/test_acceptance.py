@@ -28,7 +28,6 @@ from posetassoc import (
     flip_tubing,
     h_vector,
     is_proper_tubing,
-    is_weakly_increasing,
     maximal_tubings,
     permutohedron_f_vector,
     polytopes_equivalent,
@@ -39,7 +38,7 @@ from posetassoc import (
 )
 from posetassoc.comparability import canonical_rows
 
-from conftest import corpus, expanded_permutohedron
+from conftest import corpus, expanded_permutohedron, is_weakly_increasing
 
 
 def report(number: int, description: str, started: float, budget: float) -> None:

@@ -27,14 +27,13 @@ from posetassoc import (
     flip_tubing,
     flip_tubings,
     is_proper_tubing,
-    is_weakly_increasing,
     reconstruct,
 )
 from posetassoc import flips
 from posetassoc.flips import _classify
 from posetassoc.tubings import _is_proper_tubing, _TubeTable
 
-from conftest import corpus, listwise_is_tubing, seeded_poset
+from conftest import corpus, is_weakly_increasing, listwise_is_tubing, seeded_poset
 
 
 @pytest.fixture
@@ -357,7 +356,7 @@ class TestFlipTubingsAgainstOracle:
 
 
 class TestChecksStayLiveWithWarmMemo:
-    """The per-call tube table and kind memo never stand in for a check of the tubing."""
+    """The per-call tube table and memos never stand in for a check of the tubing."""
 
     @pytest.mark.parametrize(
         "parts, subset, first, second",
@@ -417,24 +416,91 @@ class TestChecksStayLiveWithWarmMemo:
         S = P.mask_of(["x2_1", "x2_2"])
         tubings = list(enumerate_tubings(P))
         want = list(flip_tubings(P, S, tubings))
+        # the chain pairs in order of first use; the tenth is rebuilt tenth
+        first_use = {}
+        for k, T in enumerate(tubings):
+            cls = classify_tubes(P, S, T)
+            first_use.setdefault((cls.lower, cls.upper), k)
+        corrupted_pair, stop = list(first_use.items())[9]
+        assert corrupted_pair != ((), ())
         real = flips._rebuild
         rebuilt = []
 
-        def corrupt_from_tenth(decomposition):
+        def corrupt_tenth(decomposition):
             tubes = real(decomposition)
             rebuilt.append(tubes)
-            if len(rebuilt) >= 10 and tubes:
+            if len(rebuilt) == 10:
                 # same size, one tube swapped for the whole poset
                 return (tubes - {max(tubes)}) | {P.full_mask}
             return tubes
 
-        monkeypatch.setattr(flips, "_rebuild", corrupt_from_tenth)
+        monkeypatch.setattr(flips, "_rebuild", corrupt_tenth)
         yielded = []
         with pytest.raises(StructureViolation, match="not a proper tubing"):
             for image in flip_tubings(P, S, tubings):
                 yielded.append(image)
-        assert len(yielded) == len(rebuilt) - 1 >= 9
-        assert yielded == want[: len(yielded)]
+        assert len(rebuilt) == 10
+        assert len(yielded) == stop > 9
+        assert yielded == want[:stop]
+
+    def test_improper_tubing_with_remembered_chains(self):
+        # a good tube added to a proper tubing leaves its bad-tube chains as
+        # they were, so the pair is remembered when the improper tubing comes
+        P = complete_graded((1, 2, 2))
+        tubings = list(enumerate_tubings(P))
+        tubes = [next(iter(T)) for T in tubings if len(T) == 1]
+        cases = 0
+        for S in autonomous_subsets(P, 2):
+            good = [t for t in tubes if classify_tubes(P, S, [t]).good]
+            for T in tubings:
+                if not classify_tubes(P, S, T).bad:
+                    continue
+                # a crossing or cyclic good tube, or a good tube listed twice
+                extra = [g for g in good if not is_proper_tubing(P, [*T, g])][:2]
+                for g in extra:
+                    images = flip_tubings(P, S, [T, [*T, g]])
+                    assert next(images) == flip_tubing(P, S, T)
+                    with pytest.raises(NotATubing):
+                        next(images)
+                    cases += 1
+        assert cases > 100
+
+    def test_each_tubing_checked_twice_and_each_pair_decomposed_once(
+        self, monkeypatch
+    ):
+        P = complete_graded((1, 2, 2))
+        tubings = list(enumerate_tubings(P))
+        pairs = {}
+        for S in autonomous_subsets(P, 2):
+            pairs[S] = set()
+            for T in tubings:
+                cls = classify_tubes(P, S, T)
+                pairs[S].add((cls.lower, cls.upper))
+        checked = []
+        decomposed = []
+        real_check, real_decompose = flips._is_proper_tubing, flips.decompose
+
+        def count_check(tubes, table):
+            checked.append(table)
+            return real_check(tubes, table)
+
+        def count_decompose(P, subset, classification):
+            decomposed.append((classification.lower, classification.upper))
+            return real_decompose(P, subset, classification)
+
+        monkeypatch.setattr(flips, "_is_proper_tubing", count_check)
+        monkeypatch.setattr(flips, "decompose", count_decompose)
+        for S in autonomous_subsets(P, 2):
+            checked.clear()
+            decomposed.clear()
+            images = list(flip_tubings(P, S, tubings))
+            assert len(images) == len(tubings)
+            # one check of the input, one of the image, on two tables
+            assert len(checked) == 2 * len(tubings)
+            assert len({id(table) for table in checked}) == 2
+            assert len(decomposed) == len(set(decomposed)) == len(pairs[S])
+            assert set(decomposed) == pairs[S]
+            assert len(pairs[S]) < len(tubings)
 
 
 def as_mask_helper(indices):
@@ -444,6 +510,8 @@ def as_mask_helper(indices):
 
 
 class TestWeaklyIncreasing:
+    """The conftest oracle that the decomposition tests apply to every block order."""
+
     def test_single_block(self):
         assert is_weakly_increasing(chain(3), [0b111])
 
