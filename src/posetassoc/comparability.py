@@ -20,8 +20,7 @@ from typing import Iterable, Sequence
 
 from .errors import StructureViolation
 from .isomorphism import _adjacency, _refine, find_isomorphism
-from .posets import (Poset, _union_rows, as_mask, flip, is_autonomous,
-                     mask_members)
+from .posets import Poset, _union_rows, flip, is_autonomous, mask_members
 
 GRAPHS_DIFFER = "GraphsDiffer"
 DEPTH_EXHAUSTED = "DepthExhausted"
@@ -202,12 +201,6 @@ class FlipSearchResult:
     @property
     def found(self) -> bool:
         return self.sequence is not None
-
-
-def replay_flips(P: Poset, steps: Iterable[int]) -> Poset:
-    for step in steps:
-        P = flip(P, as_mask(step))
-    return P
 
 
 def flip_sequence(P: Poset, P2: Poset, max_depth: int) -> FlipSearchResult:

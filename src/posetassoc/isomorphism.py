@@ -1,9 +1,9 @@
 """Colour refinement and individualization–refinement search for digraphs.
 
 One engine serves comparability graphs and the facet graphs of polytopes
-(symmetric rows) and posets (directed rows).  ``refine`` is the one colour
-refinement of the package: canonical forms in ``comparability`` call it on
-one graph, the isomorphism search on the disjoint union of two.
+(symmetric rows) and posets (directed rows).  ``_refine`` is the one
+colour refinement of the package: canonical forms in ``comparability`` call
+it on one graph, the isomorphism search on the disjoint union of two.
 ``_isomorphisms`` is the individualization–refinement scheme of McKay and
 Piperno ("Practical graph isomorphism, II", J. Symb. Comput. 2014): it
 gives one vertex of each graph a fresh colour and refines again after every
@@ -37,11 +37,16 @@ def _adjacency(rows: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
 
 def _refine(outs: list[list[int]], ins: list[list[int]], colors: Sequence,
             cells: int | None = None) -> list[int]:
-    """``refine`` on neighbour lists, so a search builds them only once.
+    """Stable colours of a vertex-coloured digraph, given by ``_adjacency``.
 
-    Stops early once there are ``cells`` colours (all vertices by default):
-    a discrete colouring is stable, and the next round would only renumber
-    it in the same order.
+    Each round a vertex's colour becomes (old colour, multiset of
+    out-neighbour colours, multiset of in-neighbour colours), renumbered by
+    the sorted order of those signatures, until the number of colours stops
+    growing.  The result depends only on the coloured graph up to
+    isomorphism, so on a disjoint union the colours of the two parts are
+    directly comparable.  Stops early once there are ``cells`` colours (all
+    vertices by default): a discrete colouring is stable, and the next
+    round would only renumber it in the same order.
     """
     if cells is None:
         cells = len(outs)
@@ -60,18 +65,6 @@ def _refine(outs: list[list[int]], ins: list[list[int]], colors: Sequence,
         if len(table) == count or len(table) >= cells:
             return new
         colors, count = new, len(table)
-
-
-def refine(rows: Sequence[int], colors: Sequence) -> list[int]:
-    """Stable colors of a vertex-colored digraph.
-
-    Each round a vertex's color becomes (old color, multiset of out-neighbor
-    colors, multiset of in-neighbor colors), renumbered by the sorted order
-    of those signatures, until the number of colors stops growing.  The
-    result depends only on the colored graph up to isomorphism, so on a
-    disjoint union the colors of the two parts are directly comparable.
-    """
-    return _refine(*_adjacency(rows), colors)
 
 
 def find_isomorphism(out1: Sequence[int], out2: Sequence[int]) -> tuple[int, ...] | None:

@@ -1,12 +1,16 @@
 """Combinatorial equivalence, 2-faces and face products of poset associahedra.
 
-A polytope is represented here by its tubes, the facets, and its maximal
-tubings, the vertices, as bitsets over the tubes; the permutohedron on n
-letters is A(graded(1, n - 1, 1)).  ``polytopes_equivalent`` compares
-f-vectors from the facet recursion first, and only when they agree
-searches the facet graphs for an isomorphism that carries the vertices
-onto the vertices.  ``two_face_census`` counts the polygons by their
-vertices with the facet recursion of ``f_vector``, without the tubings.
+A polytope is represented here by its tube table: the tubes are the
+facets and the maximal tubings, bitsets over the tubes, the vertices; the
+permutohedron on n letters is A(graded(1, n - 1, 1)).
+``polytopes_equivalent`` compares f-vectors from the facet recursion
+first.  Only when they agree does it read both facet graphs off the tube
+tables, exactly: two facets of a simple polytope share a vertex when they
+meet, and two tubes meet when they form a proper tubing.  It then walks
+the first polytope's vertices and searches for a facet-graph isomorphism
+that sends each of them to a proper tubing of the second.
+``two_face_census`` counts the polygons by their vertices with the facet
+recursion of ``f_vector``, without the tubings.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ from typing import Iterable
 
 from .errors import MalformedInput, NotATubing, TooSmall
 from .isomorphism import _isomorphisms
-from .posets import (Poset, _contract_rows, _union_rows, as_mask, complete_graded, iter_bits,
+from .posets import (Poset, _contract_rows, _transpose, as_mask, complete_graded, iter_bits,
                      mask_members)
-from .tubings import TubeComplex, _face_stats, _require_usable, f_vector, is_proper_tubing
+from .tubings import (TubeComplex, _face_stats, _is_proper_tubing, _require_usable, f_vector,
+                      is_proper_tubing)
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -43,13 +48,16 @@ def permutohedron_f_vector(n: int) -> tuple[int, ...]:
 # -- equivalence and 2-face census -------------------------------------------
 
 
-def _facet_graph(verts: Iterable[int], facets: int) -> list[int]:
-    """Row f: the union of the vertex facet-bitsets that contain f, minus f."""
-    rows = [0] * facets
-    for v in verts:
-        for f in iter_bits(v):
-            rows[f] |= v
-    return [row & ~(1 << f) for f, row in enumerate(rows)]
+def _facet_graph(cx: TubeComplex) -> list[int]:
+    """Row i: the tubes that meet tube i, read off the tube table.
+
+    That is ``compat[i]`` minus the tubes joined to i by digraph edges both
+    ways.  The read is exact: two facets of a simple polytope share a vertex
+    exactly when they meet, and tubes i and j meet exactly when {i, j} is a
+    proper tubing, compatible and with no 2-cycle.
+    """
+    into = _transpose(cx.edges)
+    return [row & ~(out & back) for row, out, back in zip(cx.compat, cx.edges, into)]
 
 
 def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
@@ -57,12 +65,15 @@ def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
 
     ``other`` is a poset or, as an int n, the permutohedron on n letters,
     which is A(graded(1, n - 1, 1)).  The f-vectors are compared first; the
-    tubings are walked only when they agree and the dimension is positive.
-    A simple polytope is fixed by its facets and the sets of them that meet
-    in a vertex, and poset associahedra are not flag, so a facet-graph
-    isomorphism is accepted only if it carries the maximal tubings onto the
-    maximal tubings.  ``other`` is checked first, so its ``TooSmall``,
-    ``DisconnectedPoset`` or ``MalformedInput`` comes before P's.
+    tubings of P are walked only when they agree and the dimension is
+    positive.  A simple polytope is fixed by its facets and the sets of them
+    that meet in a vertex, and poset associahedra are not flag, so a
+    facet-graph isomorphism is accepted only if it carries each vertex of P
+    to a proper tubing of ``other``.  One with ``dim`` tubes is a vertex,
+    the map is injective and the vertex counts are equal, so it carries the
+    vertices onto the vertices, and ``other``'s tubings are never walked.
+    ``other`` is checked first, so its ``TooSmall``, ``DisconnectedPoset``
+    or ``MalformedInput`` comes before P's.
 
     Why the claw: with bottom b, top t and antichain A, phi({b} u A') = A'
     and phi({t} u A') = (A - A') u {*} send its tubes onto the proper
@@ -78,12 +89,10 @@ def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
     if len(f) == 1:
         return True
     a, b = TubeComplex(P), TubeComplex(other if is_poset else complete_graded((1, other - 1, 1)))
-    verts, target = a.vertices(), set(b.vertices())
-    # the vertex counts are equal, so a map of the vertices into the target is onto
-    for mapping in _isomorphisms(_facet_graph(verts, len(a.tubes)),
-                                 _facet_graph(target, len(b.tubes))):
-        image = [1 << j for j in mapping]
-        if all(_union_rows(image, v) in target for v in verts):
+    verts = a.vertices()
+    for mapping in _isomorphisms(_facet_graph(a), _facet_graph(b)):
+        image = [b.tubes[j] for j in mapping]
+        if all(_is_proper_tubing([image[i] for i in iter_bits(v)], b) for v in verts):
             return True
     return False
 

@@ -30,9 +30,8 @@ import math
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedPoset, MalformedInput, StructureViolation, TooSmall
-from .posets import (Poset, _contract_rows, _cover_rows, _reach, _require_inside,
-                     _restrict_rows, _transpose, _undirected, _union_rows, as_mask,
-                     iter_bits, mask_members)
+from .posets import (Poset, _contract_rows, _cover_rows, _reach, _restrict_rows,
+                     _transpose, _undirected, _union_rows, as_mask, iter_bits, mask_members)
 
 Tubing = frozenset[int]
 # (k, number of k-gons) pairs, one for each k that occurs among the 2-faces
@@ -98,17 +97,6 @@ def _closes_cycle(edges: Sequence[int], node: int, within: int) -> bool:
     """Whether a path from ``node`` through the bitset ``within`` returns to it."""
     home = 1 << node
     return bool(_reach(edges, edges[node] & (within | home), within | home) & home)
-
-
-def tube_digraph(P: Poset, tubes: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Successor lists of the inter-tube digraph.
-
-    There is an edge from one tube to another exactly when they are disjoint
-    and the first contains an element strictly below one of the second's.
-    A tube naming an element outside the poset raises ElementNotFound.
-    """
-    tubes = [_require_inside(P, t) for t in tubes]
-    return {s: tuple(t for t in tubes if not s & t and _union_rows(P.up, s) & t) for s in tubes}
 
 
 def is_proper_tubing(P: Poset, tubes: Iterable[int]) -> bool:
@@ -230,7 +218,11 @@ class TubeComplex(_TubeTable):
                 later |= bit
 
     def vertices(self) -> list[int]:
-        """The maximal tubings, with ``dim`` = |P| - 2 tubes each, as walked bitsets."""
+        """The maximal tubings, with ``dim`` = |P| - 2 tubes each, as walked bitsets.
+
+        ``maximal_tubings`` reads them, and ``equiv`` those of the first of
+        its two polytopes only.
+        """
         return [c for c in self.walk() if c.bit_count() == self.dim]
 
     def tubing(self, chosen: int) -> Tubing:

@@ -19,8 +19,8 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from posetassoc import Poset, as_mask, connected_posets, is_proper_tube, mask_members
-from posetassoc.isomorphism import refine
+from posetassoc import Poset, as_mask, connected_posets, flip, is_proper_tube, mask_members
+from posetassoc.isomorphism import _adjacency, _refine
 from posetassoc.posets import iter_bits
 from posetassoc.tubings import TubeComplex, _closes_cycle, _tube_upset
 
@@ -178,6 +178,13 @@ def is_weakly_increasing(P: Poset, blocks) -> bool:
             return False
         earlier += members
     return True
+
+
+def replay_flips(P: Poset, steps) -> Poset:
+    """The poset reached by flipping each subset of ``steps`` in turn."""
+    for step in steps:
+        P = flip(P, as_mask(step))
+    return P
 
 
 # -- slow reference enumerators and checker -------------------------------------
@@ -408,6 +415,11 @@ def expanded_permutohedron(n: int) -> tuple[list[tuple], list[tuple[int, int]]]:
 # product loop over every permutation inside each colour class, and a
 # backtracking search that refines once and then checks each assignment
 # against the vertices already mapped.
+
+
+def refine(rows, colors) -> list[int]:
+    """Stable colours of a vertex-coloured digraph given as bitmask rows."""
+    return _refine(*_adjacency(rows), colors)
 
 
 def product_canonical_rows(rows) -> tuple[int, ...]:

@@ -33,12 +33,11 @@ from posetassoc import (
     polytopes_equivalent,
     poset_isomorphism,
     reconstruct,
-    replay_flips,
     two_face_census,
 )
 from posetassoc.comparability import canonical_rows
 
-from conftest import corpus, expanded_permutohedron, is_weakly_increasing
+from conftest import corpus, expanded_permutohedron, is_weakly_increasing, replay_flips
 
 
 def report(number: int, description: str, started: float, budget: float) -> None:

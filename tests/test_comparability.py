@@ -21,13 +21,11 @@ from posetassoc import (
     flip_sequence,
     graphs_isomorphic,
     poset_isomorphism,
-    replay_flips,
 )
 from posetassoc.comparability import DEPTH_EXHAUSTED, GRAPHS_DIFFER, canonical_rows
-from posetassoc.isomorphism import refine
 from posetassoc.posets import Poset, mask_members
 
-from conftest import corpus, oracle_autonomous
+from conftest import corpus, oracle_autonomous, refine, replay_flips
 
 
 class TestComparabilityGraph:

@@ -194,7 +194,7 @@ class TestAllIsomorphisms:
         rng = random.Random(10)
         for P in corpus(5, 4):
             cx = TubeComplex(P)
-            rows = _facet_graph(cx.vertices(), len(cx.tubes))
+            rows = _facet_graph(cx)
             for other in (rows, shuffled(rows, rng)):
                 got = list(_isomorphisms(rows, other))
                 matcher = nx.isomorphism.DiGraphMatcher(digraph(rows), digraph(other))

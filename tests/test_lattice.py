@@ -95,7 +95,7 @@ class TestFaceLattice:
         cx = TubeComplex(chain(4))
         verts = cx.vertices()
         assert len(verts) == 5 and all(v.bit_count() == 2 for v in verts)
-        assert all(row.bit_count() == 2 for row in _facet_graph(verts, len(cx.tubes)))
+        assert all(row.bit_count() == 2 for row in _facet_graph(cx))
 
     def test_rank_counts_equal_f_vector(self, connected_upto_5):
         for P in connected_upto_5:
@@ -116,20 +116,20 @@ class TestPermutohedron:
     def test_segment(self):
         cx = TubeComplex(claw(2))
         assert cx.vertices() == [0b01, 0b10]
-        assert _facet_graph(cx.vertices(), len(cx.tubes)) == [0, 0]
+        assert _facet_graph(cx) == [0, 0]
 
     def test_hexagon(self):
         cx = TubeComplex(claw(3))
         verts = cx.vertices()
         assert len(verts) == 6 and all(v.bit_count() == 2 for v in verts)
-        assert all(row.bit_count() == 2 for row in _facet_graph(verts, len(cx.tubes)))
+        assert all(row.bit_count() == 2 for row in _facet_graph(cx))
 
     def test_three_dimensional(self):
         # the truncated octahedron: eight hexagons and six squares
         cx = TubeComplex(claw(4))
         verts = cx.vertices()
         assert len(verts) == 24 and all(v.bit_count() == 3 for v in verts)
-        rows = _facet_graph(verts, len(cx.tubes))
+        rows = _facet_graph(cx)
         assert Counter(row.bit_count() for row in rows) == {6: 8, 4: 6}
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -277,11 +277,12 @@ class TestPolytopesEquivalent:
         assert answers == {False, True} and permutohedral > 10
 
     def test_tubing_incidence_matches_the_lattice(self, catalog):
-        # the facet graph joins two tubes exactly when a scanned vertex
-        # holds both; test_engine compares the vertices with the scan
+        # the facet graph, read off the tube table, joins two tubes exactly
+        # when a scanned vertex holds both; test_engine compares the
+        # vertices with the scan
         for P, faces in zip(*catalog):
             cx = TubeComplex(P)
-            rows = _facet_graph(cx.vertices(), len(cx.tubes))
+            rows = _facet_graph(cx)
             joined = {(s, t) for rank, key, _ in faces if rank == 0
                       for s in key for t in key if s != t}
             assert {(cx.tubes[f], cx.tubes[g]) for f, row in enumerate(rows)
@@ -301,11 +302,10 @@ class TestPolytopesEquivalent:
 
     def test_every_leaf_is_tried(self, monkeypatch):
         # No catalog pair reaches a facet-graph isomorphism that fails the
-        # vertex check, so one is made: the second truncated octahedron
-        # loses a vertex.  Its facet graph keeps every edge, since each
-        # lies in two vertices, so all 48 facet-graph automorphisms are
-        # tried and each fails; a search that stopped at its first leaf
-        # would try one.
+        # vertex check, so one is made: one maximal tubing of the second
+        # truncated octahedron is refused as a tubing.  Every facet-graph
+        # automorphism carries some vertex onto it, so all 48 are tried and
+        # each fails; a search that stopped at its first leaf would try one.
         leaves = []
         real_isomorphisms = lattice._isomorphisms
 
@@ -317,18 +317,35 @@ class TestPolytopesEquivalent:
         monkeypatch.setattr(lattice, "_isomorphisms", counted)
         assert polytopes_equivalent(claw(4), 4)
         assert len(leaves) == 1
-        real_vertices = TubeComplex.vertices
-        read = []
+        cx = TubeComplex(claw(4))
+        refused = cx.tubing(cx.vertices()[-1])
+        real_is_proper_tubing = lattice._is_proper_tubing
 
-        def drop_from_the_second(cx):
-            read.append(cx)
-            verts = real_vertices(cx)
-            return verts[:-1] if len(read) == 2 else verts
+        def refuse_one(tubes, table):
+            return frozenset(tubes) != refused and real_is_proper_tubing(tubes, table)
 
-        monkeypatch.setattr(TubeComplex, "vertices", drop_from_the_second)
+        monkeypatch.setattr(lattice, "_is_proper_tubing", refuse_one)
         leaves.clear()
         assert not polytopes_equivalent(claw(4), 4)
-        assert len(read) == 2 and len(leaves) == 48
+        assert len(leaves) == 48
+
+    @pytest.mark.parametrize("P, other, want", [
+        (claw(4), 4, True),
+        (complete_graded((1, 2, 3)), complete_graded((2, 1, 3)), False),
+    ], ids=["claw-4", "graded-1-2-3"])
+    def test_walks_one_polytope(self, monkeypatch, P, other, want):
+        # equal f-vectors, so P's vertices are walked; the other polytope's
+        # facet graph and vertices come from its tube table
+        walks = []
+        real_walk = TubeComplex.walk
+
+        def counted(cx):
+            walks.append(cx)
+            return real_walk(cx)
+
+        monkeypatch.setattr(TubeComplex, "walk", counted)
+        assert polytopes_equivalent(P, other) == want
+        assert len(walks) == 1
 
     def test_zero_dimensional(self):
         assert polytopes_equivalent(chain(2), 1)

@@ -26,7 +26,6 @@ from posetassoc import (
     is_proper_tubing,
     maximal_tubings,
     permutohedron_f_vector,
-    tube_digraph,
     tubing_from_labels,
     tubing_to_labels,
 )
@@ -103,49 +102,30 @@ class TestEnumerateTubes:
 
 
 class TestTubeDigraph:
+    """Digraph edges in the tube table of ``TubeComplex``."""
+
+    @staticmethod
+    def edge(cx: TubeComplex, s: int, t: int) -> bool:
+        return bool(cx.edges[cx.index_of[s]] >> cx.index_of[t] & 1)
+
     def test_single_tube_no_edges(self):
         P = chain(4)
         t = P.mask_of(["a", "b"])
-        assert tube_digraph(P, [t]) == {t: ()}
+        assert not self.edge(TubeComplex(P), t, t)
 
     def test_four_chain_single_edge(self):
         P = chain(4)
         low = P.mask_of(["a", "b"])
         high = P.mask_of(["c", "d"])
-        graph = tube_digraph(P, [low, high])
-        assert graph[low] == (high,) and graph[high] == ()
+        cx = TubeComplex(P)
+        assert self.edge(cx, low, high) and not self.edge(cx, high, low)
 
     def test_crossing_pairs_make_a_two_cycle(self):
         P = complete_graded((2, 2))
         a = P.mask_of(["x1_1", "x2_1"])
         b = P.mask_of(["x1_2", "x2_2"])
-        graph = tube_digraph(P, [a, b])
-        assert graph[a] == (b,) and graph[b] == (a,)
-
-    def test_matches_definition(self, connected_upto_5):
-        # every tube plus up to four masks that are not tubes (the empty and
-        # the full mask can be drawn), in a shuffled order
-        rng = random.Random(18)
-        edges = 0
-        for P in connected_upto_5:
-            tubes = enumerate_tubes(P)
-            others = sorted(set(range(P.full_mask + 1)) - set(tubes))
-            masks = tubes + rng.sample(others, min(4, len(others)))
-            rng.shuffle(masks)
-            members = {m: set(mask_members(m)) for m in masks}
-            expected = {
-                s: tuple(t for t in masks if not members[s] & members[t]
-                         and any(P.less(x, y) for x in members[s] for y in members[t]))
-                for s in masks
-            }
-            assert tube_digraph(P, masks) == expected
-            edges += sum(map(len, expected.values()))
-        assert edges
-
-    @pytest.mark.parametrize("tube", [0b11000, -3, -1])
-    def test_tube_outside_the_poset(self, tube):
-        with pytest.raises(ElementNotFound):
-            tube_digraph(chain(3), [tube, 0b11])
+        cx = TubeComplex(P)
+        assert self.edge(cx, a, b) and self.edge(cx, b, a)
 
 
 class TestProperTubing:
