@@ -42,16 +42,6 @@ def _parse_parts(text: str, parser: argparse.ArgumentParser, flag: str) -> tuple
         parser.error(f"{flag} expects comma-separated integers")
 
 
-def _depth(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
 def _read(path: str, what: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -242,8 +232,8 @@ def _cmd_polygons(P: Poset, args, parser) -> tuple[dict, list]:
 
 
 def _cmd_flip_seq(P: Poset, args, parser) -> tuple[dict, list]:
-    second = _load_poset(args.other, None, parser)
-    result = flip_sequence(P, second, args.max_depth)
+    second = _load_poset(args.other, None, parser, args.force)
+    result = flip_sequence(P, second)
     if result.sequence is None:
         payload = {"steps": None, "witness": None, "reason": result.reason}
         return payload, [["reason", result.reason]]
@@ -302,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--permutohedron", type=int, metavar="N",
                      help="compare against the permutohedron on N letters")
     verb("polygons", "vertex counts of 2-dimensional faces", _cmd_polygons, guarded=True)
-    sub = verb("flip-seq", "search a flip sequence between two posets", _cmd_flip_seq)
+    sub = verb("flip-seq", "search a flip sequence between two posets", _cmd_flip_seq,
+               guarded=True)
     sub.add_argument("other", help="second poset source")
-    sub.add_argument("--max-depth", type=_depth, default=8)
 
     return parser
 

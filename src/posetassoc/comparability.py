@@ -1,5 +1,11 @@
 """Comparability graphs, canonical forms, and flip-sequence search.
 
+The comparability graph is stored like every other relation in the
+package: one adjacency row per element, the union of its up- and down-row.
+Two posets with isomorphic comparability graphs are always joined by flips
+of autonomous subsets (Gallai 1967), so ``flip_sequence`` searches the
+whole class breadth-first with no depth bound.
+
 Also hosts the exhaustive catalog of small posets up to isomorphism used by
 the verification suites.  It is grown one top element at a time: removing a
 maximal element from a poset on n elements leaves a poset on n - 1 elements
@@ -15,43 +21,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, Sequence
 
-from .errors import StructureViolation
+from .errors import MalformedInput, StructureViolation
 from .isomorphism import _adjacency, _refine, find_isomorphism
 from .posets import Poset, _union_rows, flip, is_autonomous, mask_members
 
 GRAPHS_DIFFER = "GraphsDiffer"
-DEPTH_EXHAUSTED = "DepthExhausted"
 
 
-@dataclass(frozen=True)
-class ComparabilityGraph:
-    """Undirected graph joining every comparable pair of poset elements."""
-
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        rows = [0] * self.vertex_count
-        for i, j in self.edges:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return tuple(rows)
+def comparability_graph(P: Poset) -> tuple[int, ...]:
+    """Adjacency rows joining every comparable pair of poset elements."""
+    return tuple(u | d for u, d in zip(P.up, P.down))
 
 
-def comparability_graph(P: Poset) -> ComparabilityGraph:
-    edges = frozenset((min(i, j), max(i, j)) for i, j in P.relation_pairs())
-    return ComparabilityGraph(P.n, edges)
-
-
-def graphs_isomorphic(
-    G1: ComparabilityGraph, G2: ComparabilityGraph
-) -> tuple[int, ...] | None:
-    """A vertex bijection witnessing isomorphism, or None."""
-    return find_isomorphism(G1.adjacency, G2.adjacency)
+def graphs_isomorphic(G1: Sequence[int], G2: Sequence[int]) -> tuple[int, ...] | None:
+    """A vertex bijection witnessing isomorphism of two row graphs, or None."""
+    return find_isomorphism(G1, G2)
 
 
 def poset_isomorphism(P: Poset, Q: Poset) -> tuple[int, ...] | None:
@@ -159,6 +146,8 @@ def all_posets(n: int) -> tuple[Poset, ...]:
     The canonical forms of every poset on n - 1 elements (the empty poset
     for n = 1) with a new top element over one of its order ideals, sorted.
     """
+    if n < 0:
+        raise MalformedInput(f"need at least zero elements, got {n}")
     if n == 0:
         return ()
     top = 1 << (n - 1)
@@ -203,15 +192,17 @@ class FlipSearchResult:
         return self.sequence is not None
 
 
-def flip_sequence(P: Poset, P2: Poset, max_depth: int) -> FlipSearchResult:
+def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
     """Breadth-first search for a flip sequence carrying P onto P2.
 
     States are explored modulo isomorphism (keyed by canonical form); moves
     are flips of autonomous subsets with at least two elements, the full
-    ground set included.  Singleton flips do nothing and are skipped.
+    ground set included.  Singleton flips do nothing and are skipped.  The
+    search is complete: posets with isomorphic comparability graphs are
+    joined by flips, so it runs until it reaches P2, and an exhausted
+    comparability class raises ``StructureViolation``.  Each state scans
+    all 2^n masks for its autonomous subsets, so the CLI guards the size.
     """
-    if P.n != P2.n:
-        return FlipSearchResult(None, GRAPHS_DIFFER)
     if graphs_isomorphic(comparability_graph(P), comparability_graph(P2)) is None:
         return FlipSearchResult(None, GRAPHS_DIFFER)
     target = canonical_form(P2)
@@ -229,9 +220,7 @@ def flip_sequence(P: Poset, P2: Poset, max_depth: int) -> FlipSearchResult:
         return finish(P, ())
     visited = {start_key}
     frontier: list[tuple[Poset, tuple[int, ...]]] = [(P, ())]
-    for _ in range(max_depth):
-        if not frontier:
-            break
+    while frontier:
         next_frontier: list[tuple[Poset, tuple[int, ...]]] = []
         for state, steps in frontier:
             for subset in autonomous_subsets(state, 2):
@@ -244,4 +233,6 @@ def flip_sequence(P: Poset, P2: Poset, max_depth: int) -> FlipSearchResult:
                     return finish(moved, steps + (subset,))
                 next_frontier.append((moved, steps + (subset,)))
         frontier = next_frontier
-    return FlipSearchResult(None, DEPTH_EXHAUSTED)
+    raise StructureViolation(
+        "comparability graphs match but no flip sequence was found"
+    )

@@ -374,12 +374,6 @@ class TestFlipSeq:
         assert code == 0
         assert data["steps"] is None and data["reason"] == "GraphsDiffer"
 
-    def test_depth_limit(self, capsys):
-        code, data = invoke_json(
-            capsys, "flip-seq", "graded:1,2", "graded:2,1", "--max-depth", "0"
-        )
-        assert code == 0 and data["reason"] == "DepthExhausted"
-
     def test_missing_witness_is_internal_error(self, capsys, monkeypatch):
         # the comparability graphs still match, but the poset isomorphism
         # behind equal canonical forms goes missing: a bug, exit 3
@@ -402,12 +396,26 @@ class TestFlipSeq:
         }
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("depth", ["-3", "two"])
-    def test_bad_depth_is_usage_error(self, capsys, depth):
+    def test_exhausted_class_is_internal_error(self, capsys, monkeypatch):
+        # flips join every comparability class, so a search that runs out
+        # of states is a bug, exit 3
+        from posetassoc import comparability
+
+        monkeypatch.setattr(comparability, "autonomous_subsets", lambda *args: [])
+        code, out = invoke(capsys, "flip-seq", "graded:1,2", "graded:2,1")
+        assert code == 3
+        assert json.loads(out) == {
+            "schema_version": 1,
+            "error": "StructureViolation",
+            "message": "comparability graphs match but no flip sequence was found",
+        }
+
+    def test_max_depth_is_unrecognized(self, capsys):
+        # the search is complete, so there is no depth to bound
         with pytest.raises(SystemExit) as err:
-            run(["flip-seq", "graded:1,2", "graded:2,1", "--max-depth", depth])
+            run(["flip-seq", "graded:1,2", "graded:2,1", "--max-depth", "8"])
         assert err.value.code == 2
-        assert "--max-depth" in capsys.readouterr().err
+        assert "unrecognized arguments: --max-depth 8" in capsys.readouterr().err
 
 
 GUARD_TAIL = " the enumeration guard of 12; pass --force to proceed"
@@ -427,6 +435,8 @@ class TestSizeGuard:
             (["equiv", "graded:2,2", "graded:6,7"], "13 elements exceed"),
             (["equiv", "graded:2,2", "--permutohedron", "13"],
              "permutohedron on 13 letters exceeds"),
+            (["flip-seq", "graded:6,7", "graded:2,2"], "13 elements exceed"),
+            (["flip-seq", "graded:2,2", "graded:6,7"], "13 elements exceed"),
         ],
     )
     def test_guarded_verbs(self, capsys, argv, message):
@@ -444,7 +454,6 @@ class TestSizeGuard:
             ["tubes", "graded:2,2"],
             ["decompose", "graded:2,2", "--subset", "x1_1", "--tubing", "t.json"],
             ["flip-map", "graded:2,2", "--subset", "x1_1", "--tubing", "t.json"],
-            ["flip-seq", "graded:1,2", "graded:2,1"],
         ],
     )
     def test_unguarded_verbs_reject_force(self, capsys, argv):
@@ -477,6 +486,7 @@ class TestGuardBeforeBuild:
             (["equiv", "graded:2,2", "graded:6,7"], "13 elements exceed"),
             (["tubings", "--graded", "7,7"], "14 elements exceed"),
             (["fvector", "graded:8000,8000"], "16000 elements exceed"),
+            (["flip-seq", "graded:2,2", "graded:1,16,1"], "18 elements exceed"),
         ],
     )
     def test_refused_unbuilt(self, capsys, argv, message):
@@ -491,6 +501,10 @@ class TestGuardBeforeBuild:
     def test_force_still_builds(self):
         with pytest.raises(GradedBuilt):
             run(["fvector", "graded:6,7", "--force"])
+
+    def test_force_builds_both_flip_seq_posets(self):
+        with pytest.raises(GradedBuilt):
+            run(["flip-seq", "graded:2,2", "graded:6,7", "--force"])
 
     @pytest.mark.parametrize("parts", ["-5,30", "0,20"])
     def test_nonpositive_part_is_not_too_large(self, capsys, parts):
@@ -889,9 +903,6 @@ class TestFuzz:
                 argv.append(self.poset_source(draw, workdir / "second.json"))
             if target in ("permutohedron", "both"):
                 argv += ["--permutohedron", str(draw(st.integers(-2, 5)))]
-        if verb == "flip-seq" and draw(st.booleans()):
-            argv += ["--max-depth", draw(st.sampled_from(
-                ("0", "1", "3", "8", " 2", "-1", "two", "1.5", "")))]
         if verb in ("decompose", "flip-map"):
             if mostly(draw):
                 argv += ["--subset", ",".join(draw(st.lists(

@@ -9,7 +9,8 @@ from collections import defaultdict
 import pytest
 
 from posetassoc import (
-    ComparabilityGraph,
+    MalformedInput,
+    StructureViolation,
     all_posets,
     antichain,
     autonomous_subsets,
@@ -22,7 +23,8 @@ from posetassoc import (
     graphs_isomorphic,
     poset_isomorphism,
 )
-from posetassoc.comparability import DEPTH_EXHAUSTED, GRAPHS_DIFFER, canonical_rows
+from posetassoc import comparability
+from posetassoc.comparability import GRAPHS_DIFFER, canonical_rows
 from posetassoc.posets import Poset, mask_members
 
 from conftest import corpus, oracle_autonomous, refine, replay_flips
@@ -30,12 +32,10 @@ from conftest import corpus, oracle_autonomous, refine, replay_flips
 
 class TestComparabilityGraph:
     def test_antichain_empty(self):
-        G = comparability_graph(antichain(3))
-        assert G.vertex_count == 3 and not G.edges
+        assert comparability_graph(antichain(3)) == (0, 0, 0)
 
     def test_chain_complete(self):
-        G = comparability_graph(chain(3))
-        assert G.edges == {(0, 1), (0, 2), (1, 2)}
+        assert comparability_graph(chain(3)) == (0b110, 0b101, 0b011)
 
     def test_graded_invariant_under_permutation(self):
         base = comparability_graph(complete_graded((1, 2, 2)))
@@ -52,7 +52,7 @@ class TestGraphsIsomorphic:
 
     def test_triangle_vs_path(self):
         triangle = comparability_graph(chain(3))
-        path = ComparabilityGraph(3, frozenset({(0, 1), (1, 2)}))
+        path = (0b010, 0b101, 0b010)
         assert graphs_isomorphic(triangle, path) is None
 
     def test_complete_tripartite_pair(self):
@@ -66,11 +66,11 @@ class TestGraphsIsomorphic:
         b = comparability_graph(complete_graded((2, 1, 2)))
         witness = graphs_isomorphic(a, b)
         assert witness is not None
-        mapped = {
-            (min(witness[i], witness[j]), max(witness[i], witness[j]))
-            for i, j in a.edges
-        }
-        assert mapped == set(b.edges)
+        mapped = [0] * len(a)
+        for i, row in enumerate(a):
+            for j in mask_members(row):
+                mapped[witness[i]] |= 1 << witness[j]
+        assert tuple(mapped) == b
 
     def test_deterministic(self):
         a = comparability_graph(complete_graded((2, 2)))
@@ -155,6 +155,11 @@ class TestCatalog:
         assert len(all_posets(n)) == total
         assert len(connected_posets(n)) == connected
 
+    @pytest.mark.parametrize("catalog", [all_posets, connected_posets])
+    def test_negative_size_is_malformed_input(self, catalog):
+        with pytest.raises(MalformedInput):
+            catalog(-1)
+
     def test_pairwise_nonisomorphic(self):
         forms = [canonical_form(P) for P in all_posets(4)]
         assert len(set(forms)) == len(forms)
@@ -189,7 +194,7 @@ class TestCatalog:
 class TestFlipSequence:
     def test_identity(self):
         P = chain(3)
-        result = flip_sequence(P, P, 4)
+        result = flip_sequence(P, P)
         assert result.found and result.sequence.steps == ()
 
     def test_reversed_chain_is_already_isomorphic(self):
@@ -197,23 +202,30 @@ class TestFlipSequence:
         # joined by the empty sequence
         P = chain(2)
         Q = Poset(["a", "b"], [0, 0b01])
-        result = flip_sequence(P, Q, 4)
+        result = flip_sequence(P, Q)
         assert result.found and result.sequence.steps == ()
 
     def test_graded_swap(self):
-        result = flip_sequence(complete_graded((1, 2)), complete_graded((2, 1)), 4)
+        result = flip_sequence(complete_graded((1, 2)), complete_graded((2, 1)))
         assert result.found
         # one flip of the whole ground set
         assert result.sequence.steps == (0b111,)
 
     def test_graphs_differ(self):
         vee = Poset(["a", "b", "c"], [0b110, 0, 0])
-        result = flip_sequence(chain(3), vee, 8)
+        result = flip_sequence(chain(3), vee)
         assert not result.found and result.reason == GRAPHS_DIFFER
 
-    def test_depth_exhausted(self):
-        result = flip_sequence(complete_graded((1, 2)), complete_graded((2, 1)), 0)
-        assert not result.found and result.reason == DEPTH_EXHAUSTED
+    def test_size_mismatch_is_graphs_differ(self):
+        result = flip_sequence(chain(2), chain(3))
+        assert not result.found and result.reason == GRAPHS_DIFFER
+
+    def test_exhausted_class_is_internal_error(self, monkeypatch):
+        # flips join every comparability class, so running out of states
+        # is a failed invariant, not an answer
+        monkeypatch.setattr(comparability, "autonomous_subsets", lambda *args: [])
+        with pytest.raises(StructureViolation, match="no flip sequence was found"):
+            flip_sequence(complete_graded((1, 2)), complete_graded((2, 1)))
 
     def test_replay_reaches_target_class(self):
         pairs = [
@@ -222,7 +234,7 @@ class TestFlipSequence:
             (chain(4), Poset(["a", "b", "c", "d"], [0, 0b0001, 0b0011, 0b0111])),
         ]
         for P, Q in pairs:
-            result = flip_sequence(P, Q, 8)
+            result = flip_sequence(P, Q)
             assert result.found
             final = replay_flips(P, result.sequence.steps)
             assert canonical_form(final) == canonical_form(Q)
@@ -232,14 +244,14 @@ class TestFlipSequence:
 
     def test_flips_join_comparability_classes_small(self):
         # every pair of connected posets on <= 4 elements with isomorphic
-        # comparability graphs is joined by flips (full size-5 sweep runs in
+        # comparability graphs is joined by flips (full size-7 sweep runs in
         # the acceptance suite)
         groups = defaultdict(list)
         for P in corpus(4):
-            groups[canonical_rows(comparability_graph(P).adjacency)].append(P)
+            groups[canonical_rows(comparability_graph(P))].append(P)
         for group in groups.values():
             for P, Q in itertools.combinations(group, 2):
-                result = flip_sequence(P, Q, 8)
+                result = flip_sequence(P, Q)
                 assert result.found
                 final = replay_flips(P, result.sequence.steps)
                 assert poset_isomorphism(final, Q) is not None

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from posetassoc import (
+    Poset,
     StructureViolation,
     all_posets,
     canonical_form,
@@ -69,6 +70,19 @@ class TestCanonicalRowsAgainstProductLoop:
         rows = shuffled(P.up, random.Random(P.n))
         assert canonical_rows(P.up) == product_canonical_rows(P.up)
         assert canonical_rows(rows) == product_canonical_rows(rows)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_crowns(self, k):
+        # crown S_k: minimum a_i lies below every maximum b_j except b_i,
+        # one colour class per level and no twins
+        labels = [f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)]
+        tops = ((1 << k) - 1) << k
+        P = Poset(labels, [tops & ~(1 << (k + i)) for i in range(k)] + [0] * k)
+        form = canonical_form(P)
+        assert form == product_canonical_rows(P.up)
+        rng = random.Random(k)
+        for _ in range(5):
+            assert canonical_rows(shuffled(P.up, rng)) == form
 
     def test_twin_classes_collapse(self):
         # two levels of seven twins: the product loop would try 7!^2 orders
