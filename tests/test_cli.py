@@ -410,12 +410,15 @@ class TestFlipSeq:
             "message": "comparability graphs match but no flip sequence was found",
         }
 
-    def test_max_depth_is_unrecognized(self, capsys):
-        # the search is complete, so there is no depth to bound
+    @pytest.mark.parametrize("depth", ["-3", "two"])
+    def test_bad_depth_is_usage_error(self, capsys, depth):
+        # the search is complete, so there is no depth to bound: any
+        # --max-depth is an unrecognized argument
         with pytest.raises(SystemExit) as err:
-            run(["flip-seq", "graded:1,2", "graded:2,1", "--max-depth", "8"])
+            run(["flip-seq", "graded:1,2", "graded:2,1", "--max-depth", depth])
         assert err.value.code == 2
-        assert "unrecognized arguments: --max-depth 8" in capsys.readouterr().err
+        err_text = capsys.readouterr().err
+        assert f"unrecognized arguments: --max-depth {depth}" in err_text
 
 
 GUARD_TAIL = " the enumeration guard of 12; pass --force to proceed"
