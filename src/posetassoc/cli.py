@@ -17,11 +17,14 @@ from functools import cache
 from typing import Sequence
 
 from .comparability import autonomous_subsets, flip_sequence
-from .errors import DomainError, InternalError, MalformedInput, PosetTooLarge
-from .flips import classify_tubes, decompose, flip_tubing, flip_tubings
+from .errors import (DomainError, InternalError, MalformedInput, PosetTooLarge,
+                     StructureViolation)
+from .flips import _flip_bits, classify_tubes, decompose, flip_tubing
 from .lattice import polytopes_equivalent, two_face_census
 from .posets import Poset, _poset_payload, complete_graded, flip
 from .tubings import (
+    TubeComplex,
+    _TubeTable,
     enumerate_tubes,
     enumerate_tubings,
     f_vector,
@@ -191,13 +194,21 @@ def _cmd_flip_map(P: Poset, args, parser) -> tuple[dict, list]:
 
 def _cmd_check_invariance(P: Poset, args, parser) -> tuple[dict, list]:
     base_f = f_vector(P)
-    tubings = list(enumerate_tubings(P))
+    cx = TubeComplex(P)
+    walked = list(cx.walk())
     results = []
     for subset in autonomous_subsets(P, 2):
         flipped = flip(P, subset)
+        # the flip back lands on P's own tube table, so it must give back P
+        if flip(flipped, subset).up != P.up:
+            raise StructureViolation(
+                f"flipping {{{', '.join(P.labels_of(subset))}}} twice does not give back"
+                " the poset"
+            )
         preserved = f_vector(flipped) == base_f
-        back = flip_tubings(flipped, subset, flip_tubings(P, subset, tubings))
-        roundtrip = all(image == tubing for image, tubing in zip(back, tubings))
+        table = _TubeTable(flipped)
+        back = _flip_bits(subset, table, cx, _flip_bits(subset, cx, table, walked))
+        roundtrip = all(image == chosen for image, chosen in zip(back, walked))
         results.append(
             {
                 "subset": sorted(P.labels_of(subset)),

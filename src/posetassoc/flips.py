@@ -6,31 +6,42 @@ The remaining (bad) tubes split into two nested chains, one entered from
 below and one from above.  Each chain is recorded as a nested sequence of
 outside parts with star marks, plus the blocks of subset elements absorbed
 at the starred steps; reversing the block order and replaying the recursion
-on the flipped poset yields the image tubing.  `flip_tubings` flips the
-subset once per call and checks every tubing: the input as given, the
-nesting of its bad-tube chains, the image size and the image, so a broken
-assumption fails loudly instead of producing a silently wrong tubing.  What
-it does once per call rather than once per tubing is per-tube work (each
-mask's tube test, each pair of tubes' compatibility and digraph edges in a
-tube table per poset, and each tube's kind relative to the subset) and
-per-chain-pair work: the bad tubes of the image depend only on the lower
-and upper chains and the subset, so `decompose`, its
-`Decomposition.validate` (a pure function of that pair) and the rebuild run
-once for each distinct pair of chains.
+on the flipped poset yields the image tubing.
+
+One engine, `_flip_bits`, carries tubings as bitsets over the tube indices
+of a tube table of the poset to bitsets over those of a table of the
+flipped poset.  It checks every tubing: the input, the nesting of its
+bad-tube chains, the image size and the image, so a broken assumption
+fails loudly instead of producing a silently wrong tubing.  Both tubing
+checks run the package's one proper-tubing loop,
+`tubings._proper_indices`, on the tube indices as they are; its other
+callers are `tubings._is_proper_tubing`, for tube masks, and the vertex
+check of `lattice.polytopes_equivalent`.  What the engine does once per
+call rather than once per tubing is per-tube work (each tube's kind
+relative to the subset, and each good tube's index in the flipped poset's
+table) and per-chain-pair work: the bad tubes of the image depend only on
+the lower and upper chains and the subset, so the nesting check,
+`decompose`, its `Decomposition.validate` (a pure function of that pair)
+and the rebuild run once for each distinct pair of chains.
+`flip_tubings` is the engine for tube masks: it flips the subset once per
+call, turns masks into bitsets over a per-call table of the poset and the
+images back into masks.  `check-invariance` feeds the engine the bitsets
+of the `TubeComplex` walk directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     MalformedDecomposition,
     NotATubing,
     StructureViolation,
 )
-from .posets import Poset, _require_autonomous, _require_inside, _union_rows, as_mask, flip
-from .tubings import Tubing, _is_proper_tubing, _TubeTable
+from .posets import (Poset, _require_autonomous, _require_inside, _union_rows, as_mask, flip,
+                     iter_bits)
+from .tubings import Tubing, _is_proper_tubing, _proper_indices, _TubeTable
 
 
 @dataclass(frozen=True)
@@ -145,40 +156,17 @@ def classify_tubes(
     """Split a tubing into good tubes and the two nested chains of bad ones."""
     s_mask = as_mask(subset)
     _require_autonomous(P, s_mask)
-    return _classify(s_mask, [as_mask(t) for t in tubing], _TubeTable(P), {})
+    tubes = [as_mask(t) for t in tubing]
+    if not _is_proper_tubing(tubes, _TubeTable(P)):
+        raise NotATubing("input is not a proper tubing")
+    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for tube in tubes:
+        parts[_kind(P, s_mask, tube)].append(tube)
+    good, lower, upper = parts
+    return TubeClassification(frozenset(good), _chain(lower), _chain(upper))
 
 
 _GOOD, _LOWER, _UPPER = range(3)
-
-
-def _classify(
-    s_mask: int, tubes: Sequence[int], table: _TubeTable, kind_of: dict[int, int]
-) -> TubeClassification:
-    """``classify_tubes`` on the table's poset, for a subset known to be autonomous.
-
-    ``table`` is the tube table of ``_is_proper_tubing``, so the tubing is
-    checked in full against it.  ``kind_of`` remembers each tube's kind
-    (good, lower or upper) relative to ``s_mask``; a bad tube that is both
-    lower and upper, or neither, is not remembered and raises each time it
-    is met.
-    """
-    if not _is_proper_tubing(tubes, table):
-        raise NotATubing("input is not a proper tubing")
-    P = table.poset
-    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for tube in tubes:
-        kind = kind_of.get(tube)
-        if kind is None:
-            kind = _kind(P, s_mask, tube)
-            kind_of[tube] = kind
-        parts[kind].append(tube)
-    good, lower, upper = parts
-    for seq in (lower, upper):
-        seq.sort(key=int.bit_count)
-        for small, big in zip(seq, seq[1:]):
-            if small & ~big:
-                raise StructureViolation("bad tubes of one kind must be nested")
-    return TubeClassification(frozenset(good), tuple(lower), tuple(upper))
 
 
 def _kind(P: Poset, s_mask: int, tube: int) -> int:
@@ -194,6 +182,15 @@ def _kind(P: Poset, s_mask: int, tube: int) -> int:
             f"bad tube {{{', '.join(P.labels_of(tube))}}} is {kind}"
         )
     return _LOWER if is_lower else _UPPER
+
+
+def _chain(tubes: list[int]) -> tuple[int, ...]:
+    """Bad tubes of one kind, sorted by size; StructureViolation unless nested."""
+    tubes.sort(key=int.bit_count)
+    for small, big in zip(tubes, tubes[1:]):
+        if small & ~big:
+            raise StructureViolation("bad tubes of one kind must be nested")
+    return tuple(tubes)
 
 
 def _decorate(subset: int, chain: tuple[int, ...]) -> tuple[DecoratedSequence, list[int]]:
@@ -283,40 +280,98 @@ def flip_tubings(
     tubes carry over unchanged; bad tubes are decomposed, the block order
     reversed, and the result rebuilt on the flipped poset.  Every input, as
     given, and every image is checked in full: a proper tubing, bad-tube
-    chains nested, the image the same size.  The decomposition is validated
-    once per distinct (lower, upper) pair of bad-tube chains, since it is a
-    pure function of that pair and the subset.  What the call remembers, for
-    its own life only, is one tube table for P and one for the flipped
-    poset (each mask's tube test, and each pair of tubes' compatibility and
-    digraph edges, done once), the kind of each tube of P relative to the
-    subset, and the rebuilt bad tubes of each chain pair.  A pair whose
-    decomposition raises is not remembered, so it raises again.
+    chains nested, the image the same size.  Each tubing's masks become a
+    bitset over the indices of a per-call tube table of P, the flip runs on
+    those bitsets (see ``_flip_bits``), and each image comes back as masks
+    through a per-call tube table of the flipped poset.
     """
     s_mask = as_mask(subset)
     flipped = flip(P, s_mask)
-    table = _TubeTable(P)
-    flipped_table = _TubeTable(flipped)
-    kind_of: dict[int, int] = {}
-    rebuilt: dict[tuple[tuple[int, ...], tuple[int, ...]], frozenset[int]] = {}
-    for tubing in tubings:
-        tubes = [as_mask(t) for t in tubing]
-        classification = _classify(s_mask, tubes, table, kind_of)
-        # each chain is nested and sorted by size, so one chain is one tuple
-        chains = (classification.lower, classification.upper)
-        new_bad = rebuilt.get(chains)
-        if new_bad is None:
+    source, target = _TubeTable(P), _TubeTable(flipped)
+    bitsets = (_index_bits(source, tubing) for tubing in tubings)
+    for image in _flip_bits(s_mask, source, target, bitsets):
+        yield target.tubing(image)
+
+
+def _index_bits(table: _TubeTable, tubing: Iterable[int]) -> int:
+    """A tubing's masks as a bitset over the table's tube indices.
+
+    A non-tube or a tube listed twice raises NotATubing; whether the tubes
+    form a tubing is left to ``_flip_bits``.
+    """
+    bits = 0
+    for tube in tubing:
+        k = table.find(as_mask(tube))
+        if k is None or bits >> k & 1:
+            raise NotATubing("input is not a proper tubing")
+        bits |= 1 << k
+    return bits
+
+
+def _flip_bits(
+    s_mask: int, source: _TubeTable, target: _TubeTable, tubings: Iterable[int]
+) -> Iterator[int]:
+    """``flip_tubings`` on bitsets over tube indices, for an autonomous subset.
+
+    ``source`` is a tube table of the poset and ``target`` one of the poset
+    with ``s_mask`` flipped.  Each tubing is a bitset over ``source``'s tube
+    indices, and each image is yielded as a bitset over ``target``'s.  For
+    every tubing, in order: the input is checked on ``source``; each tube
+    met for the first time in the call gets its kind (good, lower or
+    upper), kept in three bitsets; the lower and upper chains key a memo of
+    the image's bad tubes, and a miss checks the chains' nesting, runs
+    ``decompose`` with its ``Decomposition.validate`` (a pure function of
+    that pair) and rebuilds the chains from the reversed blocks; the good
+    tubes map to ``target`` through a per-call index map; and the image's
+    size and the image are checked on ``target``.  A tube whose kind
+    raises, or a pair whose decomposition raises, is not remembered, so it
+    raises again.
+    """
+    P, tubes = source.poset, source.tubes
+    kinds = [0, 0, 0]  # the tube indices met so far, one bitset per kind
+    good_bit: dict[int, int] = {}
+    rebuilt: dict[tuple[int, int], int] = {}
+    for bits in tubings:
+        if not _proper_indices(iter_bits(bits), source):
+            raise NotATubing("input is not a proper tubing")
+        for i in iter_bits(bits & ~(kinds[_GOOD] | kinds[_LOWER] | kinds[_UPPER])):
+            kinds[_kind(P, s_mask, tubes[i])] |= 1 << i
+        good, lower, upper = kinds
+        chains = (bits & lower, bits & upper)
+        image = rebuilt.get(chains)
+        if image is None:
+            classification = TubeClassification(
+                frozenset(),  # decompose reads only the chains
+                _chain([tubes[i] for i in iter_bits(chains[0])]),
+                _chain([tubes[i] for i in iter_bits(chains[1])]),
+            )
             decomposition = decompose(P, s_mask, classification)
             # reversal keeps every condition that decompose has validated
-            new_bad = _rebuild(decomposition.reversed_blocks())
-            rebuilt[chains] = new_bad
-        image = classification.good | new_bad
-        if len(image) != len(tubes):
+            image = _target_bits(target, _rebuild(decomposition.reversed_blocks()))
+            rebuilt[chains] = image
+        for i in iter_bits(bits & good):
+            bit = good_bit.get(i)
+            if bit is None:
+                bit = good_bit[i] = _target_bits(target, (tubes[i],))
+            image |= bit
+        if image.bit_count() != bits.bit_count():
             raise StructureViolation(
-                f"flip image has {len(image)} tubes, expected {len(tubes)}"
+                f"flip image has {image.bit_count()} tubes, expected {bits.bit_count()}"
             )
-        if not _is_proper_tubing(image, flipped_table):
+        if not _proper_indices(iter_bits(image), target):
             raise StructureViolation("flip image is not a proper tubing")
         yield image
+
+
+def _target_bits(target: _TubeTable, masks: Iterable[int]) -> int:
+    """Image tubes as a bitset over ``target``'s indices; a non-tube is no tubing."""
+    bits = 0
+    for mask in masks:
+        k = target.find(mask)
+        if k is None:
+            raise StructureViolation("flip image is not a proper tubing")
+        bits |= 1 << k
+    return bits
 
 
 def flip_tubing(

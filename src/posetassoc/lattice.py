@@ -23,7 +23,7 @@ from .errors import MalformedInput, NotATubing, TooSmall
 from .isomorphism import _isomorphisms
 from .posets import (Poset, _contract_rows, _transpose, as_mask, complete_graded, iter_bits,
                      mask_members)
-from .tubings import (TubeComplex, _face_stats, _is_proper_tubing, _require_usable, f_vector,
+from .tubings import (TubeComplex, _face_stats, _proper_indices, _require_usable, f_vector,
                       is_proper_tubing)
 
 
@@ -91,8 +91,7 @@ def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
     a, b = TubeComplex(P), TubeComplex(other if is_poset else complete_graded((1, other - 1, 1)))
     verts = a.vertices()
     for mapping in _isomorphisms(_facet_graph(a), _facet_graph(b)):
-        image = [b.tubes[j] for j in mapping]
-        if all(_is_proper_tubing([image[i] for i in iter_bits(v)], b) for v in verts):
+        if all(_proper_indices([mapping[i] for i in iter_bits(v)], b) for v in verts):
             return True
     return False
 

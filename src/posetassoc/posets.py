@@ -43,11 +43,17 @@ from .errors import (
 
 
 def as_mask(subset: int | Iterable[int]) -> int:
-    """Coerce an iterable of element indices (or an existing mask) to a bitmask."""
+    """Coerce an iterable of element indices (or an existing mask) to a bitmask.
+
+    An index that is not a non-negative int raises MalformedInput.  A mask
+    is returned as given; a negative one names elements outside any poset.
+    """
     if isinstance(subset, int):
         return subset
     mask = 0
     for i in subset:
+        if not isinstance(i, int) or i < 0:
+            raise MalformedInput(f"an element index must be a non-negative int, got {i!r}")
         mask |= 1 << i
     return mask
 

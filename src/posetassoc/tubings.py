@@ -7,10 +7,14 @@ algebra.
 Tubes are grown output-sensitively from the singletons by adding a Hasse
 neighbour and closing convexly.  One tube table, ``_TubeTable``, gives each
 tube an index, a compatibility bitset and a disjoint-edge bitset over tube
-indices, so a tubing is a bitset over tube indices too.  Given tubings are
-checked against a per-call table, filled lazily with the tubes that the
-call meets; ``TubeComplex``, the engine of all tubing enumeration, is the
-table with every tube added.  Tubings are walked with an explicit stack of
+indices, so a tubing is a bitset over tube indices too.  One loop,
+``_proper_indices``, checks that tube indices of a table form a proper
+tubing, and it has three callers: ``_is_proper_tubing`` for tube masks,
+which it looks up in a per-call table filled lazily with the tubes that
+the call meets; the flip engine ``flips._flip_bits``, for its inputs and
+images; and the vertex check of ``lattice.polytopes_equivalent``.
+``TubeComplex``, the engine of all tubing enumeration, is the table with
+every tube added.  Tubings are walked with an explicit stack of
 (chosen, candidates) bitsets; a candidate can only close a cycle through
 itself, so acyclicity is checked incrementally by one ``_reach`` from the
 candidate's successors inside the chosen tubes.  The walk's descending
@@ -158,18 +162,30 @@ class _TubeTable:
         self.edges.append(edges)
         return k
 
+    def tubing(self, chosen: int) -> Tubing:
+        """The tube masks of a bitset over tube indices."""
+        tubes = self.tubes
+        return frozenset(tubes[i] for i in iter_bits(chosen))
+
 
 def _is_proper_tubing(tubes: Iterable[int], table: _TubeTable) -> bool:
     """``is_proper_tubing`` for tube masks on the table's poset.
 
-    Each mask is checked for convexity and connectivity once per table; the
-    distinctness, laminarity and acyclicity of the tubing always run, each
-    tube against the tubes before it in ``tubes``.
+    Each mask is checked for convexity and connectivity once per table.
+    """
+    return _proper_indices(map(table.find, tubes), table)
+
+
+def _proper_indices(indices: Iterable[int | None], table: _TubeTable) -> bool:
+    """Whether tube indices of the table, None for a non-tube, form a proper tubing.
+
+    The package's one proper-tubing loop: the distinctness, laminarity and
+    acyclicity of the tubing always run, each tube against the tubes before
+    it in ``indices``.
     """
     compat, edges = table.compat, table.edges
     chosen = 0
-    for t in tubes:
-        k = table.find(t)
+    for k in indices:
         # compat[k] lacks k's own bit, so a repeated tube fails as a crossing one
         if k is None or chosen & ~compat[k]:
             return False
@@ -224,11 +240,6 @@ class TubeComplex(_TubeTable):
         its two polytopes only.
         """
         return [c for c in self.walk() if c.bit_count() == self.dim]
-
-    def tubing(self, chosen: int) -> Tubing:
-        """The tube masks of a walked bitset."""
-        tubes = self.tubes
-        return frozenset(tubes[i] for i in iter_bits(chosen))
 
 
 def enumerate_tubings(P: Poset) -> Iterator[Tubing]:

@@ -19,7 +19,8 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from posetassoc import Poset, as_mask, connected_posets, flip, is_proper_tube, mask_members
+from posetassoc import (Poset, as_mask, autonomous_subsets, connected_posets, enumerate_tubings,
+                        f_vector, flip, flip_tubings, is_proper_tube, mask_members)
 from posetassoc.isomorphism import _adjacency, _refine
 from posetassoc.posets import iter_bits
 from posetassoc.tubings import TubeComplex, _closes_cycle, _tube_upset
@@ -185,6 +186,27 @@ def replay_flips(P: Poset, steps) -> Poset:
     for step in steps:
         P = flip(P, as_mask(step))
     return P
+
+
+def mask_check_invariance(P: Poset) -> dict:
+    """``check-invariance``'s payload from the mask-level loop it replaced.
+
+    Every tubing of ``enumerate_tubings`` goes through the public
+    ``flip_tubings`` and back, as frozensets of masks, and each round trip
+    is compared as a set of masks.
+    """
+    base_f = f_vector(P)
+    tubings = list(enumerate_tubings(P))
+    results = []
+    for subset in autonomous_subsets(P, 2):
+        flipped = flip(P, subset)
+        back = flip_tubings(flipped, subset, flip_tubings(P, subset, tubings))
+        results.append({
+            "subset": sorted(P.labels_of(subset)),
+            "f_preserved": f_vector(flipped) == base_f,
+            "roundtrip_ok": all(image == tubing for image, tubing in zip(back, tubings)),
+        })
+    return {"f": list(base_f), "results": results}
 
 
 # -- slow reference enumerators and checker -------------------------------------

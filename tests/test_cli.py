@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetassoc
-from posetassoc import chain, complete_graded
+from posetassoc import chain, cli, complete_graded
 from posetassoc.cli import SIZE_GUARD, run
+
+from conftest import corpus, mask_check_invariance, seeded_poset
 
 
 def invoke(capsys, *argv):
@@ -314,6 +316,36 @@ class TestCheckInvariance:
         subsets = [tuple(r["subset"]) for r in data["results"]]
         assert ("x2_1", "x2_2") in subsets
         assert tuple(sorted(complete_graded((1, 2, 2)).labels)) in subsets
+
+    def test_matches_the_mask_level_loop(self):
+        # the verb flips the walk's tube-index bitsets; the oracle sends
+        # every tubing through flip_tubings and back as masks
+        posets = corpus(6) + [seeded_poset(seed, n)
+                              for seed, n in [(1, 7), (2, 7), (3, 8), (4, 8)]]
+        for P in posets:
+            payload, _ = cli._cmd_check_invariance(P, None, None)
+            assert payload == mask_check_invariance(P), P
+
+    def test_flip_that_is_no_involution_is_internal_error(self, capsys, monkeypatch):
+        # the flip back runs on the first poset's own tube table, so a
+        # second flip that does not give the first poset back is a bug, exit 3
+        real_flip = cli.flip
+        calls = []
+
+        def flip_away(P, subset):
+            calls.append(subset)
+            flipped = real_flip(P, subset)
+            return flipped if len(calls) % 2 else chain(P.n)
+
+        monkeypatch.setattr(cli, "flip", flip_away)
+        code, out = invoke(capsys, "check-invariance", "graded:1,2,2")
+        assert code == 3
+        assert json.loads(out) == {
+            "schema_version": 1,
+            "error": "StructureViolation",
+            "message": "flipping {x2_1, x2_2} twice does not give back the poset",
+        }
+        assert len(calls) == 2
 
 
 class TestEquiv:

@@ -319,12 +319,14 @@ class TestPolytopesEquivalent:
         assert len(leaves) == 1
         cx = TubeComplex(claw(4))
         refused = cx.tubing(cx.vertices()[-1])
-        real_is_proper_tubing = lattice._is_proper_tubing
+        real_proper_indices = lattice._proper_indices
 
-        def refuse_one(tubes, table):
-            return frozenset(tubes) != refused and real_is_proper_tubing(tubes, table)
+        def refuse_one(indices, table):
+            indices = list(indices)
+            tubes = frozenset(table.tubes[k] for k in indices)
+            return tubes != refused and real_proper_indices(indices, table)
 
-        monkeypatch.setattr(lattice, "_is_proper_tubing", refuse_one)
+        monkeypatch.setattr(lattice, "_proper_indices", refuse_one)
         leaves.clear()
         assert not polytopes_equivalent(claw(4), 4)
         assert len(leaves) == 48

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 
 import networkx as nx
 import pytest
@@ -26,6 +27,7 @@ from posetassoc import (
     dual,
     flip,
     is_autonomous,
+    is_proper_tube,
     parse_poset,
     poset_isomorphism,
     substitute,
@@ -245,6 +247,15 @@ class TestAutonomy:
     def test_mask_members_rejects_a_negative_mask(self):
         with pytest.raises(MalformedInput):
             mask_members(-1)
+
+    @pytest.mark.parametrize("indices", [[-1, 0], ["a"], [0, 1.0], [None]])
+    def test_bad_index_is_malformed_input(self, indices):
+        # a negative or non-int index, where the shift raised ValueError or TypeError
+        P = chain(3)
+        for call in (as_mask, partial(is_autonomous, P), partial(is_proper_tube, P),
+                     partial(flip, P)):
+            with pytest.raises(MalformedInput, match="non-negative int"):
+                call(indices)
 
 
 class TestFlip:
