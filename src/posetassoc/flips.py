@@ -15,8 +15,10 @@ bad-tube chains, the image size and the image, so a broken assumption
 fails loudly instead of producing a silently wrong tubing.  Both tubing
 checks run the package's one proper-tubing loop,
 `tubings._proper_indices`, on the tube indices as they are; its other
-callers are `tubings._is_proper_tubing`, for tube masks, and the vertex
-check of `lattice.polytopes_equivalent`.  What the engine does once per
+callers are `tubings.is_proper_tubing`, for tube masks, and the vertex
+check of `lattice.polytopes_equivalent`.  The engine turns tube masks into
+indices, the rebuilt bad tubes and each new good tube of an image, only
+through `_TubeTable.bits`.  What the engine does once per
 call rather than once per tubing is per-tube work (each tube's kind
 relative to the subset, and each good tube's index in the flipped poset's
 table) and per-chain-pair work: the bad tubes of the image depend only on
@@ -24,9 +26,10 @@ the lower and upper chains and the subset, so the nesting check,
 `decompose`, its `Decomposition.validate` (a pure function of that pair)
 and the rebuild run once for each distinct pair of chains.
 `flip_tubings` is the engine for tube masks: it flips the subset once per
-call, turns masks into bitsets over a per-call table of the poset and the
-images back into masks.  `check-invariance` feeds the engine the bitsets
-of the `TubeComplex` walk directly.
+call, turns masks into bitsets over a per-call table of the poset with
+`_TubeTable.bits` and the images back into masks with `_TubeTable.tubing`.
+`check-invariance` feeds the engine the bitsets of the `TubeComplex` walk
+directly.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
 )
 from .posets import (Poset, _require_autonomous, _require_inside, _union_rows, as_mask, flip,
                      iter_bits)
-from .tubings import Tubing, _is_proper_tubing, _proper_indices, _TubeTable
+from .tubings import Tubing, _proper_indices, _require_usable, _TubeTable, is_proper_tubing
 
 
 @dataclass(frozen=True)
@@ -154,10 +157,11 @@ def classify_tubes(
     P: Poset, subset: int | Iterable[int], tubing: Iterable[int]
 ) -> TubeClassification:
     """Split a tubing into good tubes and the two nested chains of bad ones."""
+    _require_usable(P)
     s_mask = as_mask(subset)
     _require_autonomous(P, s_mask)
     tubes = [as_mask(t) for t in tubing]
-    if not _is_proper_tubing(tubes, _TubeTable(P)):
+    if not is_proper_tubing(P, tubes):
         raise NotATubing("input is not a proper tubing")
     parts: tuple[list[int], list[int], list[int]] = ([], [], [])
     for tube in tubes:
@@ -283,56 +287,44 @@ def flip_tubings(
     chains nested, the image the same size.  Each tubing's masks become a
     bitset over the indices of a per-call tube table of P, the flip runs on
     those bitsets (see ``_flip_bits``), and each image comes back as masks
-    through a per-call tube table of the flipped poset.
+    through a per-call tube table of the flipped poset.  A disconnected P,
+    or one with fewer than two elements, has no tubings and is refused
+    first, as by every other tubing function.
     """
+    _require_usable(P)
     s_mask = as_mask(subset)
     flipped = flip(P, s_mask)
     source, target = _TubeTable(P), _TubeTable(flipped)
-    bitsets = (_index_bits(source, tubing) for tubing in tubings)
+    bitsets = (source.bits(map(as_mask, tubing)) for tubing in tubings)
     for image in _flip_bits(s_mask, source, target, bitsets):
         yield target.tubing(image)
 
 
-def _index_bits(table: _TubeTable, tubing: Iterable[int]) -> int:
-    """A tubing's masks as a bitset over the table's tube indices.
-
-    A non-tube or a tube listed twice raises NotATubing; whether the tubes
-    form a tubing is left to ``_flip_bits``.
-    """
-    bits = 0
-    for tube in tubing:
-        k = table.find(as_mask(tube))
-        if k is None or bits >> k & 1:
-            raise NotATubing("input is not a proper tubing")
-        bits |= 1 << k
-    return bits
-
-
 def _flip_bits(
-    s_mask: int, source: _TubeTable, target: _TubeTable, tubings: Iterable[int]
+    s_mask: int, source: _TubeTable, target: _TubeTable, tubings: Iterable[int | None]
 ) -> Iterator[int]:
     """``flip_tubings`` on bitsets over tube indices, for an autonomous subset.
 
     ``source`` is a tube table of the poset and ``target`` one of the poset
     with ``s_mask`` flipped.  Each tubing is a bitset over ``source``'s tube
-    indices, and each image is yielded as a bitset over ``target``'s.  For
-    every tubing, in order: the input is checked on ``source``; each tube
-    met for the first time in the call gets its kind (good, lower or
-    upper), kept in three bitsets; the lower and upper chains key a memo of
-    the image's bad tubes, and a miss checks the chains' nesting, runs
-    ``decompose`` with its ``Decomposition.validate`` (a pure function of
-    that pair) and rebuilds the chains from the reversed blocks; the good
-    tubes map to ``target`` through a per-call index map; and the image's
-    size and the image are checked on ``target``.  A tube whose kind
-    raises, or a pair whose decomposition raises, is not remembered, so it
-    raises again.
+    indices, or None for masks that ``_TubeTable.bits`` refused, and each
+    image is yielded as a bitset over ``target``'s.  For every tubing, in
+    order: the input is checked on ``source``; each tube met for the first
+    time in the call gets its kind (good, lower or upper), kept in three
+    bitsets; the lower and upper chains key a memo of the image's bad
+    tubes, and a miss checks the chains' nesting, runs ``decompose`` with
+    its ``Decomposition.validate`` (a pure function of that pair) and
+    rebuilds the chains from the reversed blocks; the good tubes map to
+    ``target`` through a per-call index map; and the image's size and the
+    image are checked on ``target``.  A tube whose kind raises, or a pair
+    whose decomposition raises, is not remembered, so it raises again.
     """
     P, tubes = source.poset, source.tubes
     kinds = [0, 0, 0]  # the tube indices met so far, one bitset per kind
     good_bit: dict[int, int] = {}
     rebuilt: dict[tuple[int, int], int] = {}
     for bits in tubings:
-        if not _proper_indices(iter_bits(bits), source):
+        if bits is None or not _proper_indices(iter_bits(bits), source):
             raise NotATubing("input is not a proper tubing")
         for i in iter_bits(bits & ~(kinds[_GOOD] | kinds[_LOWER] | kinds[_UPPER])):
             kinds[_kind(P, s_mask, tubes[i])] |= 1 << i
@@ -347,12 +339,17 @@ def _flip_bits(
             )
             decomposition = decompose(P, s_mask, classification)
             # reversal keeps every condition that decompose has validated
-            image = _target_bits(target, _rebuild(decomposition.reversed_blocks()))
+            image = target.bits(_rebuild(decomposition.reversed_blocks()))
+            if image is None:
+                raise StructureViolation("flip image is not a proper tubing")
             rebuilt[chains] = image
         for i in iter_bits(bits & good):
             bit = good_bit.get(i)
             if bit is None:
-                bit = good_bit[i] = _target_bits(target, (tubes[i],))
+                bit = target.bits((tubes[i],))
+                if bit is None:
+                    raise StructureViolation("flip image is not a proper tubing")
+                good_bit[i] = bit
             image |= bit
         if image.bit_count() != bits.bit_count():
             raise StructureViolation(
@@ -361,17 +358,6 @@ def _flip_bits(
         if not _proper_indices(iter_bits(image), target):
             raise StructureViolation("flip image is not a proper tubing")
         yield image
-
-
-def _target_bits(target: _TubeTable, masks: Iterable[int]) -> int:
-    """Image tubes as a bitset over ``target``'s indices; a non-tube is no tubing."""
-    bits = 0
-    for mask in masks:
-        k = target.find(mask)
-        if k is None:
-            raise StructureViolation("flip image is not a proper tubing")
-        bits |= 1 << k
-    return bits
 
 
 def flip_tubing(

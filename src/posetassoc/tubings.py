@@ -7,12 +7,14 @@ algebra.
 Tubes are grown output-sensitively from the singletons by adding a Hasse
 neighbour and closing convexly.  One tube table, ``_TubeTable``, gives each
 tube an index, a compatibility bitset and a disjoint-edge bitset over tube
-indices, so a tubing is a bitset over tube indices too.  One loop,
+indices, so a tubing is a bitset over tube indices too.  Tube masks
+become such a bitset only through ``_TubeTable.bits``, which fills the
+table lazily with the tubes that it meets.  One loop,
 ``_proper_indices``, checks that tube indices of a table form a proper
-tubing, and it has three callers: ``_is_proper_tubing`` for tube masks,
-which it looks up in a per-call table filled lazily with the tubes that
-the call meets; the flip engine ``flips._flip_bits``, for its inputs and
-images; and the vertex check of ``lattice.polytopes_equivalent``.
+tubing, and it has three callers: ``is_proper_tubing``, on the bits of
+tube masks in a per-call table; the flip engine ``flips._flip_bits``, for
+its inputs and images; and the vertex check of
+``lattice.polytopes_equivalent``.
 ``TubeComplex``, the engine of all tubing enumeration, is the table with
 every tube added.  Tubings are walked with an explicit stack of
 (chosen, candidates) bitsets; a candidate can only close a cycle through
@@ -105,7 +107,9 @@ def _closes_cycle(edges: Sequence[int], node: int, within: int) -> bool:
 
 def is_proper_tubing(P: Poset, tubes: Iterable[int]) -> bool:
     """Distinct proper tubes, pairwise nested or disjoint, digraph acyclic."""
-    return _is_proper_tubing(map(as_mask, tubes), _TubeTable(P))
+    table = _TubeTable(P)
+    bits = table.bits(map(as_mask, tubes))
+    return bits is not None and _proper_indices(iter_bits(bits), table)
 
 
 class _TubeTable:
@@ -116,7 +120,8 @@ class _TubeTable:
     gives a tube the next index and sets its bits against every tube added
     before it, in both directions.  ``find`` checks a mask by
     ``_tube_upset`` the first time it is met and adds it if it is a tube; a
-    non-tube is remembered as None.
+    non-tube is remembered as None.  ``bits`` is the one way from tube
+    masks to a bitset over the indices, and ``tubing`` the way back.
     """
 
     def __init__(self, P: Poset):
@@ -138,6 +143,20 @@ class _TubeTable:
             self.index_of[mask] = None
             return None
         return self._add(mask, above)
+
+    def bits(self, masks: Iterable[int]) -> int | None:
+        """The tube masks as a bitset over the table's indices.
+
+        None if a mask is not a proper tube of the poset or is listed twice;
+        whether the tubes form a tubing is left to ``_proper_indices``.
+        """
+        bits = 0
+        for mask in masks:
+            k = self.find(mask)
+            if k is None or bits >> k & 1:
+                return None
+            bits |= 1 << k
+        return bits
 
     def _add(self, mask: int, above: int) -> int:
         """Give the tube ``mask``, with strict upset ``above``, the next index."""
@@ -168,16 +187,8 @@ class _TubeTable:
         return frozenset(tubes[i] for i in iter_bits(chosen))
 
 
-def _is_proper_tubing(tubes: Iterable[int], table: _TubeTable) -> bool:
-    """``is_proper_tubing`` for tube masks on the table's poset.
-
-    Each mask is checked for convexity and connectivity once per table.
-    """
-    return _proper_indices(map(table.find, tubes), table)
-
-
-def _proper_indices(indices: Iterable[int | None], table: _TubeTable) -> bool:
-    """Whether tube indices of the table, None for a non-tube, form a proper tubing.
+def _proper_indices(indices: Iterable[int], table: _TubeTable) -> bool:
+    """Whether tube indices of the table form a proper tubing.
 
     The package's one proper-tubing loop: the distinctness, laminarity and
     acyclicity of the tubing always run, each tube against the tubes before
@@ -187,7 +198,7 @@ def _proper_indices(indices: Iterable[int | None], table: _TubeTable) -> bool:
     chosen = 0
     for k in indices:
         # compat[k] lacks k's own bit, so a repeated tube fails as a crossing one
-        if k is None or chosen & ~compat[k]:
+        if chosen & ~compat[k]:
             return False
         # any cycle is caught at its last tube
         if edges[k] & chosen and _closes_cycle(edges, k, chosen):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetassoc
-from posetassoc import chain, cli, complete_graded
+from posetassoc import antichain, chain, cli, complete_graded
 from posetassoc.cli import SIZE_GUARD, run
 
 from conftest import corpus, mask_check_invariance, seeded_poset
@@ -72,8 +72,6 @@ class TestFVector:
         assert code == 0 and data["f"] == [5, 5, 1]
 
     def test_disconnected_is_domain_error(self, capsys, poset_file):
-        from posetassoc import antichain
-
         code, data = invoke_json(capsys, "fvector", poset_file(antichain(3)))
         assert code == 1
         assert data["error"] == "DisconnectedPoset"
@@ -217,6 +215,18 @@ class TestDecomposeAndFlipMap:
             tubing_file([]),
         )
         assert code == 1 and data["error"] == "ElementNotFound"
+
+    @pytest.mark.parametrize("verb", ["decompose", "flip-map"])
+    @pytest.mark.parametrize(
+        "P, subset, error",
+        [(antichain(3), "a,b", "DisconnectedPoset"), (chain(1), "a", "TooSmall")],
+    )
+    def test_no_associahedron(self, capsys, poset_file, tubing_file, verb, P, subset, error):
+        # every tubing verb refuses a poset whose tubings form no polytope
+        code, data = invoke_json(
+            capsys, verb, poset_file(P), "--subset", subset, "--tubing", tubing_file([])
+        )
+        assert code == 1 and data["error"] == error
 
 
 class TestMalformedInput:
