@@ -207,6 +207,8 @@ def _cmd_check_invariance(P: Poset, args, parser) -> tuple[dict, list]:
             )
         preserved = f_vector(flipped) == base_f
         table = _TubeTable(flipped)
+        # the walk's bitsets go in unchecked and each leg checks its images,
+        # so a round trip passes only if it ends on the walked bitset
         back = _flip_bits(subset, table, cx, _flip_bits(subset, cx, table, walked))
         roundtrip = all(image == chosen for image, chosen in zip(back, walked))
         results.append(
@@ -226,7 +228,7 @@ def _cmd_check_invariance(P: Poset, args, parser) -> tuple[dict, list]:
 
 def _cmd_equiv(P: Poset, args, parser) -> tuple[dict, list]:
     if (args.other is None) == (args.permutohedron is None):
-        parser.error("provide a second poset or --permutohedron, not both")
+        parser.error("provide exactly one of a second poset or --permutohedron")
     if args.permutohedron is not None:
         _guard_size(args.permutohedron, args.force,
                     "permutohedron on {n} letters exceeds")

@@ -10,26 +10,30 @@ on the flipped poset yields the image tubing.
 
 One engine, `_flip_bits`, carries tubings as bitsets over the tube indices
 of a tube table of the poset to bitsets over those of a table of the
-flipped poset.  It checks every tubing: the input, the nesting of its
-bad-tube chains, the image size and the image, so a broken assumption
-fails loudly instead of producing a silently wrong tubing.  Both tubing
-checks run the package's one proper-tubing loop,
-`tubings._proper_indices`, on the tube indices as they are; its other
-callers are `tubings.is_proper_tubing`, for tube masks, and the vertex
-check of `lattice.polytopes_equivalent`.  The engine turns tube masks into
-indices, the rebuilt bad tubes and each new good tube of an image, only
-through `_TubeTable.bits`.  What the engine does once per
-call rather than once per tubing is per-tube work (each tube's kind
-relative to the subset, and each good tube's index in the flipped poset's
-table) and per-chain-pair work: the bad tubes of the image depend only on
-the lower and upper chains and the subset, so the nesting check,
-`decompose`, its `Decomposition.validate` (a pure function of that pair)
-and the rebuild run once for each distinct pair of chains.
-`flip_tubings` is the engine for tube masks: it flips the subset once per
-call, turns masks into bitsets over a per-call table of the poset with
-`_TubeTable.bits` and the images back into masks with `_TubeTable.tubing`.
-`check-invariance` feeds the engine the bitsets of the `TubeComplex` walk
-directly.
+flipped poset.  Its rule is that a caller checks the tubings it brings in
+and the engine checks every image it builds: the nesting of the bad-tube
+chains, the decomposition, the image size and the image, so a broken
+assumption fails loudly, as `StructureViolation`, instead of producing a
+silently wrong tubing.  The tubing checks run the package's one
+proper-tubing loop, `tubings._proper_indices`, on the tube indices as they
+are; its other callers are `tubings.is_proper_tubing`, for tube masks, and
+the vertex check of `lattice.polytopes_equivalent`.  The engine turns tube
+masks into indices, the rebuilt bad tubes and each new good tube of an
+image, only through `_TubeTable.bits`.  What the engine does once per call
+rather than once per tubing is per-tube work (each tube's kind relative to
+the subset, and each good tube's index in the flipped poset's table) and
+per-chain-pair work: the bad tubes of the image depend only on the lower
+and upper chains and the subset, so the nesting check, `_decompose` (the
+body of `decompose`, with its `Decomposition.validate`, a pure function of
+that pair) and the rebuild run once for each distinct pair of chains.
+`flip_tubings` is the engine for tube masks, and the only caller whose
+tubings come from outside: it flips the subset once per call, turns masks
+into bitsets over a per-call table of the poset with `_TubeTable.bits`,
+checks each with `_proper_indices`, and turns the images back into masks
+with `_TubeTable.tubing`.  `check-invariance` feeds the engine the bitsets
+of the `TubeComplex` walk directly, and the first leg's images, already
+checked on the same table, to the second leg; only a round trip that ends
+on the walked bitset passes.
 """
 
 from __future__ import annotations
@@ -224,10 +228,15 @@ def decompose(
     by no bad tube form one middle block, dropped when empty.
     """
     s_mask = _require_inside(P, as_mask(subset))
-    lower_seq, lower_blocks = _decorate(s_mask, classification.lower)
-    upper_seq, upper_blocks = _decorate(s_mask, classification.upper)
+    return _decompose(s_mask, classification.lower, classification.upper)
+
+
+def _decompose(s_mask: int, lower: tuple[int, ...], upper: tuple[int, ...]) -> Decomposition:
+    """The body of ``decompose``, on the two chains of bad tubes, validated."""
+    lower_seq, lower_blocks = _decorate(s_mask, lower)
+    upper_seq, upper_blocks = _decorate(s_mask, upper)
     touched = 0
-    for tube in classification.lower + classification.upper:
+    for tube in lower + upper:
         touched |= tube
     remainder = s_mask & ~touched
     blocks = list(lower_blocks)
@@ -282,63 +291,72 @@ def flip_tubings(
 
     The subset is flipped once, which checks that it is autonomous.  Good
     tubes carry over unchanged; bad tubes are decomposed, the block order
-    reversed, and the result rebuilt on the flipped poset.  Every input, as
-    given, and every image is checked in full: a proper tubing, bad-tube
-    chains nested, the image the same size.  Each tubing's masks become a
-    bitset over the indices of a per-call tube table of P, the flip runs on
-    those bitsets (see ``_flip_bits``), and each image comes back as masks
-    through a per-call tube table of the flipped poset.  A disconnected P,
-    or one with fewer than two elements, has no tubings and is refused
-    first, as by every other tubing function.
+    reversed, and the result rebuilt on the flipped poset.  Each tubing's
+    masks become a bitset over the indices of a per-call tube table of P,
+    checked there as given: the first improper tubing raises NotATubing,
+    after the images of the tubings before it.  The flip runs on those
+    bitsets (see ``_flip_bits``), which checks every image in full, and
+    each image comes back as masks through a per-call tube table of the
+    flipped poset.  A disconnected P, or one with fewer than two elements,
+    has no tubings and is refused first, as by every other tubing function.
     """
     _require_usable(P)
     s_mask = as_mask(subset)
     flipped = flip(P, s_mask)
     source, target = _TubeTable(P), _TubeTable(flipped)
-    bitsets = (source.bits(map(as_mask, tubing)) for tubing in tubings)
-    for image in _flip_bits(s_mask, source, target, bitsets):
+
+    def checked(tubing: Iterable[int]) -> int:
+        bits = source.bits(map(as_mask, tubing))
+        if bits is None or not _proper_indices(iter_bits(bits), source):
+            raise NotATubing("input is not a proper tubing")
+        return bits
+
+    for image in _flip_bits(s_mask, source, target, map(checked, tubings)):
         yield target.tubing(image)
 
 
 def _flip_bits(
-    s_mask: int, source: _TubeTable, target: _TubeTable, tubings: Iterable[int | None]
+    s_mask: int, source: _TubeTable, target: _TubeTable, tubings: Iterable[int]
 ) -> Iterator[int]:
     """``flip_tubings`` on bitsets over tube indices, for an autonomous subset.
 
     ``source`` is a tube table of the poset and ``target`` one of the poset
     with ``s_mask`` flipped.  Each tubing is a bitset over ``source``'s tube
-    indices, or None for masks that ``_TubeTable.bits`` refused, and each
-    image is yielded as a bitset over ``target``'s.  For every tubing, in
-    order: the input is checked on ``source``; each tube met for the first
-    time in the call gets its kind (good, lower or upper), kept in three
-    bitsets; the lower and upper chains key a memo of the image's bad
-    tubes, and a miss checks the chains' nesting, runs ``decompose`` with
-    its ``Decomposition.validate`` (a pure function of that pair) and
-    rebuilds the chains from the reversed blocks; the good tubes map to
-    ``target`` through a per-call index map; and the image's size and the
-    image are checked on ``target``.  A tube whose kind raises, or a pair
-    whose decomposition raises, is not remembered, so it raises again.
+    indices, and each image is yielded as a bitset over ``target``'s.  The
+    caller checks the tubings it brings in: they must be proper on
+    ``source``.  The engine checks every image it builds.  For every
+    tubing, in order: each tube met for the first time in the call gets its
+    kind (good, lower or upper), kept in three bitsets; the lower and upper
+    chains key a memo of the image's bad tubes, and a miss checks the
+    chains' nesting, runs ``_decompose`` with its
+    ``Decomposition.validate`` (a pure function of that pair) and rebuilds
+    the chains from the reversed blocks; the good tubes map to ``target``
+    through a per-call index map; and the image's size and the image are
+    checked on ``target``.  Every failed check is a bug, raised as
+    ``StructureViolation``.  A tube whose kind raises, or a pair whose
+    decomposition raises, is not remembered, so it raises again.
     """
     P, tubes = source.poset, source.tubes
     kinds = [0, 0, 0]  # the tube indices met so far, one bitset per kind
     good_bit: dict[int, int] = {}
     rebuilt: dict[tuple[int, int], int] = {}
     for bits in tubings:
-        if bits is None or not _proper_indices(iter_bits(bits), source):
-            raise NotATubing("input is not a proper tubing")
         for i in iter_bits(bits & ~(kinds[_GOOD] | kinds[_LOWER] | kinds[_UPPER])):
             kinds[_kind(P, s_mask, tubes[i])] |= 1 << i
         good, lower, upper = kinds
         chains = (bits & lower, bits & upper)
         image = rebuilt.get(chains)
         if image is None:
-            classification = TubeClassification(
-                frozenset(),  # decompose reads only the chains
-                _chain([tubes[i] for i in iter_bits(chains[0])]),
-                _chain([tubes[i] for i in iter_bits(chains[1])]),
-            )
-            decomposition = decompose(P, s_mask, classification)
-            # reversal keeps every condition that decompose has validated
+            lower_chain = _chain([tubes[i] for i in iter_bits(chains[0])])
+            upper_chain = _chain([tubes[i] for i in iter_bits(chains[1])])
+            try:
+                decomposition = _decompose(s_mask, lower_chain, upper_chain)
+            except MalformedDecomposition as exc:
+                # the chains come from a proper tubing, so this is a bug, not bad input
+                raise StructureViolation(
+                    f"the bad tubes of a proper tubing decompose badly: {exc}"
+                ) from exc
+            # reversal keeps every condition that _decompose has validated
             image = target.bits(_rebuild(decomposition.reversed_blocks()))
             if image is None:
                 raise StructureViolation("flip image is not a proper tubing")

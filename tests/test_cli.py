@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetassoc
-from posetassoc import antichain, chain, cli, complete_graded
+from posetassoc import DecoratedSequence, antichain, chain, cli, complete_graded, flips
 from posetassoc.cli import SIZE_GUARD, run
+from posetassoc.tubings import TubeComplex
 
 from conftest import corpus, mask_check_invariance, seeded_poset
 
@@ -357,6 +358,30 @@ class TestCheckInvariance:
         }
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # crossing: the two tubes share x2_1 and neither holds the other
+            (["x1_1", "x2_1"], ["x2_1", "x3_1"]),
+            # a 2-cycle: disjoint, each holds an element below one of the other's
+            (["x2_1", "x3_1"], ["x2_2", "x3_2"]),
+        ],
+    )
+    def test_improper_walked_tubing_is_internal_error(self, capsys, monkeypatch,
+                                                      first, second):
+        # the walk's bitsets enter the flip engine unchecked, so an improper
+        # one must fail an image check (a bug, exit 3), never pass a round trip
+        P = complete_graded((1, 2, 2))
+        real_walk = TubeComplex.walk
+
+        def walk_then_improper(cx):
+            yield from real_walk(cx)
+            yield 1 << cx.find(P.mask_of(first)) | 1 << cx.find(P.mask_of(second))
+
+        monkeypatch.setattr(TubeComplex, "walk", walk_then_improper)
+        code, data = invoke_json(capsys, "check-invariance", "graded:1,2,2")
+        assert code == 3 and data["error"] == "StructureViolation"
+
 
 class TestEquiv:
     def test_against_permutohedron(self, capsys):
@@ -386,6 +411,14 @@ class TestEquiv:
         with pytest.raises(SystemExit) as err:
             run(["equiv", "graded:2,2", "graded:2,2", "--permutohedron", "4"])
         assert err.value.code == 2
+
+    def test_usage_error_when_no_target(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["equiv", "graded:2,2"])
+        assert err.value.code == 2
+        assert "provide exactly one of a second poset or --permutohedron" in (
+            capsys.readouterr().err
+        )
 
 
 class TestPolygons:
@@ -829,6 +862,25 @@ class TestInternalError:
             "error": "StructureViolation",
             "message": "forced failure",
         }
+
+    @pytest.mark.parametrize("verb", ["check-invariance", "flip-map"])
+    def test_malformed_engine_decomposition_exits_3(self, capsys, monkeypatch,
+                                                   tubing_file, verb):
+        # the flip engine decomposes the chains of a proper tubing it
+        # classified itself, so a malformed decomposition there is a bug
+        real_decorate = flips._decorate
+
+        def drop_stars(subset, chain):
+            seq, absorbed = real_decorate(subset, chain)
+            return DecoratedSequence(seq.sets, (False,) * len(seq)), absorbed
+
+        monkeypatch.setattr(flips, "_decorate", drop_stars)
+        argv = ["check-invariance", "graded:1,2,2"]
+        if verb == "flip-map":
+            argv = ["flip-map", "graded:1,2,1", "--subset", "x2_1,x2_2",
+                    "--tubing", tubing_file([["x1_1", "x2_1"]])]
+        code, data = invoke_json(capsys, *argv)
+        assert code == 3 and data["error"] == "StructureViolation"
 
     def test_only_bugs_are_internal(self):
         # MalformedDecomposition is also raised for decompositions that

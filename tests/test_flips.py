@@ -32,10 +32,10 @@ from posetassoc import (
     is_proper_tubing,
     reconstruct,
 )
-from posetassoc import flips
+from posetassoc import cli, flips
 from posetassoc.flips import _flip_bits
 from posetassoc.posets import iter_bits
-from posetassoc.tubings import _proper_indices, _TubeTable
+from posetassoc.tubings import TubeComplex, _proper_indices, _TubeTable
 
 from conftest import corpus, is_weakly_increasing, listwise_is_tubing, seeded_poset
 
@@ -497,18 +497,18 @@ class TestChecksStayLiveWithWarmMemo:
                 pairs[S].add((cls.lower, cls.upper))
         checked = []
         decomposed = []
-        real_check, real_decompose = flips._proper_indices, flips.decompose
+        real_check, real_decompose = flips._proper_indices, flips._decompose
 
         def count_check(indices, table):
             checked.append(table)
             return real_check(indices, table)
 
-        def count_decompose(P, subset, classification):
-            decomposed.append((classification.lower, classification.upper))
-            return real_decompose(P, subset, classification)
+        def count_decompose(s_mask, lower, upper):
+            decomposed.append((lower, upper))
+            return real_decompose(s_mask, lower, upper)
 
         monkeypatch.setattr(flips, "_proper_indices", count_check)
-        monkeypatch.setattr(flips, "decompose", count_decompose)
+        monkeypatch.setattr(flips, "_decompose", count_decompose)
         for S in autonomous_subsets(P, 2):
             checked.clear()
             decomposed.clear()
@@ -520,6 +520,24 @@ class TestChecksStayLiveWithWarmMemo:
             assert len(decomposed) == len(set(decomposed)) == len(pairs[S])
             assert set(decomposed) == pairs[S]
             assert len(pairs[S]) < len(tubings)
+
+    def test_check_invariance_checks_each_image_once(self, monkeypatch):
+        # the walk's bitsets and the first leg's images go into the engine
+        # unchecked; each leg checks the images it builds
+        P = complete_graded((1, 2, 2))
+        walk = list(TubeComplex(P).walk())
+        subsets = autonomous_subsets(P, 2)
+        checked = []
+        real_check = flips._proper_indices
+
+        def count_check(indices, table):
+            checked.append(table)
+            return real_check(indices, table)
+
+        monkeypatch.setattr(flips, "_proper_indices", count_check)
+        payload, _ = cli._cmd_check_invariance(P, None, None)
+        assert all(r["roundtrip_ok"] for r in payload["results"])
+        assert len(checked) == 2 * len(walk) * len(subsets) == 750
 
 
 def as_mask_helper(indices):
