@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .errors import MalformedInput, StructureViolation
 from .isomorphism import _adjacency, _refine, find_isomorphism
-from .posets import Poset, _union_rows, flip, is_autonomous, mask_members
+from .posets import Poset, _union_rows, flip, is_autonomous, iter_bits, mask_members
 
 GRAPHS_DIFFER = "GraphsDiffer"
 
@@ -197,7 +197,13 @@ def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
 
     States are explored modulo isomorphism (keyed by canonical form); moves
     are flips of autonomous subsets with at least two elements, the full
-    ground set included.  Singleton flips do nothing and are skipped.  The
+    ground set included.  Singleton flips do nothing and are skipped, and
+    so are flips of a subset whose suborder is a chain or an antichain,
+    before any flip or canonical form is built.  This is exact: an
+    antichain's flip leaves the rows as they are, and a chain's flip is
+    undone by reversing its members, which fixes every outside relation
+    because the subset is autonomous.  Either way the flipped poset is
+    isomorphic to the state, whose class is already visited.  The
     search is complete: posets with isomorphic comparability graphs are
     joined by flips, so it runs until it reaches P2, and an exhausted
     comparability class raises ``StructureViolation``.  Each state scans
@@ -224,6 +230,8 @@ def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
         next_frontier: list[tuple[Poset, tuple[int, ...]]] = []
         for state, steps in frontier:
             for subset in autonomous_subsets(state, 2):
+                if _is_chain_or_antichain(state, subset):
+                    continue
                 moved = flip(state, subset)
                 key = canonical_form(moved)
                 if key in visited:
@@ -236,3 +244,9 @@ def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
     raise StructureViolation(
         "comparability graphs match but no flip sequence was found"
     )
+
+
+def _is_chain_or_antichain(P: Poset, mask: int) -> bool:
+    """Whether every two members of ``mask`` are comparable, or no two are."""
+    degrees = {((P.up[i] | P.down[i]) & mask).bit_count() for i in iter_bits(mask)}
+    return degrees == {0} or degrees == {mask.bit_count() - 1}

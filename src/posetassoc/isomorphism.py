@@ -8,7 +8,9 @@ it on one graph, the isomorphism search on the disjoint union of two.
 Piperno ("Practical graph isomorphism, II", J. Symb. Comput. 2014): it
 gives one vertex of each graph a fresh colour and refines again after every
 assignment, so a branch that cannot extend dies as soon as the two
-colourings disagree; ``find_isomorphism`` takes its first.  On a symmetric
+colourings disagree; ``find_isomorphism`` takes its first.  Two equal row
+sequences get the identity first, with no refinement: it is the least
+permutation, so ``find_isomorphism`` answers them at once.  On a symmetric
 graph the in-neighbours are the out-neighbours, so refinement reads only
 the out-lists; the signatures sort as they would with both, and the colours
 come out the same.  The bitmask-row helpers it uses live in ``posets``.
@@ -88,10 +90,18 @@ def _isomorphisms(out1: Sequence[int], out2: Sequence[int]) -> Iterator[tuple[in
     each isomorphism lies under exactly one leaf, and the leaves come in
     lexicographic order.  Once the halves pair off, the mapping is read off
     the colours and checked edge by edge.
+
+    When the two row sequences are equal, the identity is checked and
+    yielded before any refinement.  It is the least permutation, so the
+    order stays ascending; the search then runs as above and skips the
+    identity leaf, so nothing is yielded twice.
     """
     n = len(out1)
     if len(out2) != n:
         return
+    identity = tuple(range(n)) if tuple(out1) == tuple(out2) else None
+    if identity is not None and _preserves_edges(identity, out1, out2):
+        yield identity
     outs, ins = _adjacency([*out1, *(row << n for row in out2)])
     # Depth-first over colourings still to refine.  Each branch is one
     # generator of trial colourings, built one at a time in ascending target
@@ -116,12 +126,18 @@ def _isomorphisms(out1: Sequence[int], out2: Sequence[int]) -> Iterator[tuple[in
         if branch is None:
             target = {c: j for j, c in enumerate(c2)}
             mapping = tuple(target[c] for c in c1)
-            image = [1 << j for j in mapping]
-            if all(out2[j] == _union_rows(image, row) for j, row in zip(mapping, out1)):
+            if mapping != identity and _preserves_edges(mapping, out1, out2):
                 yield mapping
             continue
         targets = [j for j in range(n) if c2[j] == c1[branch]]
         stack.append(_individualized(colors, branch, targets, n))
+
+
+def _preserves_edges(mapping: tuple[int, ...], out1: Sequence[int],
+                     out2: Sequence[int]) -> bool:
+    """Whether ``mapping`` carries the rows of graph 1 onto those of graph 2."""
+    image = [1 << j for j in mapping]
+    return all(out2[j] == _union_rows(image, row) for j, row in zip(mapping, out1))
 
 
 def _individualized(colors: list[int], branch: int, targets: list[int], n: int):

@@ -19,8 +19,11 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from posetassoc import (Poset, as_mask, autonomous_subsets, connected_posets, enumerate_tubings,
-                        f_vector, flip, flip_tubings, is_proper_tube, mask_members)
+from posetassoc import (FlipSearchResult, FlipSequence, Poset, StructureViolation, as_mask,
+                        autonomous_subsets, canonical_form, comparability_graph, connected_posets,
+                        enumerate_tubings, f_vector, flip, flip_tubings, graphs_isomorphic,
+                        is_proper_tube, mask_members, poset_isomorphism)
+from posetassoc.comparability import GRAPHS_DIFFER
 from posetassoc.isomorphism import _adjacency, _refine
 from posetassoc.posets import iter_bits
 from posetassoc.tubings import TubeComplex, _closes_cycle, _tube_upset
@@ -186,6 +189,43 @@ def replay_flips(P: Poset, steps) -> Poset:
     for step in steps:
         P = flip(P, as_mask(step))
     return P
+
+
+def exhaustive_flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
+    """``flip_sequence`` with no skipped moves: the reference for its pruning.
+
+    Every autonomous subset with at least two elements is flipped and keyed
+    by its canonical form, whatever its suborder.
+    """
+    if graphs_isomorphic(comparability_graph(P), comparability_graph(P2)) is None:
+        return FlipSearchResult(None, GRAPHS_DIFFER)
+    target = canonical_form(P2)
+
+    def finish(final: Poset, steps: tuple[int, ...]) -> FlipSearchResult:
+        witness = poset_isomorphism(final, P2)
+        if witness is None:
+            raise StructureViolation("canonical forms match but no isomorphism was found")
+        return FlipSearchResult(FlipSequence(steps, witness), None)
+
+    start_key = canonical_form(P)
+    if start_key == target:
+        return finish(P, ())
+    visited = {start_key}
+    frontier: list[tuple[Poset, tuple[int, ...]]] = [(P, ())]
+    while frontier:
+        next_frontier: list[tuple[Poset, tuple[int, ...]]] = []
+        for state, steps in frontier:
+            for subset in autonomous_subsets(state, 2):
+                moved = flip(state, subset)
+                key = canonical_form(moved)
+                if key in visited:
+                    continue
+                visited.add(key)
+                if key == target:
+                    return finish(moved, steps + (subset,))
+                next_frontier.append((moved, steps + (subset,)))
+        frontier = next_frontier
+    raise StructureViolation("comparability graphs match but no flip sequence was found")
 
 
 def mask_check_invariance(P: Poset) -> dict:

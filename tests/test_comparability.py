@@ -19,15 +19,16 @@ from posetassoc import (
     comparability_graph,
     complete_graded,
     connected_posets,
+    dual,
     flip_sequence,
     graphs_isomorphic,
     poset_isomorphism,
 )
-from posetassoc import comparability
-from posetassoc.comparability import GRAPHS_DIFFER, canonical_rows
+from posetassoc import comparability, isomorphism
+from posetassoc.comparability import GRAPHS_DIFFER, FlipSequence, canonical_rows
 from posetassoc.posets import Poset, mask_members
 
-from conftest import corpus, oracle_autonomous, refine, replay_flips
+from conftest import corpus, exhaustive_flip_sequence, oracle_autonomous, refine, replay_flips
 
 
 class TestComparabilityGraph:
@@ -255,3 +256,55 @@ class TestFlipSequence:
                 assert result.found
                 final = replay_flips(P, result.sequence.steps)
                 assert poset_isomorphism(final, Q) is not None
+
+    def test_skipped_flips_change_no_answer(self):
+        # every ordered pair of each comparability class of connected posets
+        # on 2-6 elements, and each connected 7-element poset against its
+        # dual on the same labels, against the search that flips every
+        # autonomous subset
+        pairs = 0
+        for n in range(2, 7):
+            groups = defaultdict(list)
+            for P in connected_posets(n):
+                groups[canonical_rows(comparability_graph(P))].append(P)
+            for group in groups.values():
+                for P, Q in itertools.product(group, repeat=2):
+                    assert flip_sequence(P, Q) == exhaustive_flip_sequence(P, Q), (P, Q)
+                    pairs += 1
+        assert pairs == 854
+        for P in connected_posets(7):
+            Q = dual(P)
+            assert flip_sequence(P, Q) == exhaustive_flip_sequence(P, Q), P
+
+    def test_chain_and_antichain_flips_build_no_canonical_form(self, monkeypatch):
+        # graded(1,5,4) has 3 autonomous subsets that are neither a chain nor
+        # an antichain (two unions of adjacent levels and the ground set);
+        # with the start and the target that is 5 canonical forms, and the
+        # 2^5 - 6 + 2^4 - 5 = 37 antichains inside a level build none
+        calls = []
+        real_canonical_rows = comparability.canonical_rows
+
+        def counted(rows):
+            calls.append(rows)
+            return real_canonical_rows(rows)
+
+        monkeypatch.setattr(comparability, "canonical_rows", counted)
+        result = flip_sequence(complete_graded((1, 5, 4)), complete_graded((4, 5, 1)))
+        assert result.found
+        assert len(calls) == 5
+
+    def test_equal_rows_need_no_refinement(self, monkeypatch):
+        # P against itself: equal comparability rows and equal order rows,
+        # so both isomorphism searches answer with the identity at once
+        refinements = []
+        real_refine = isomorphism._refine
+
+        def counted(*args):
+            refinements.append(args)
+            return real_refine(*args)
+
+        monkeypatch.setattr(isomorphism, "_refine", counted)
+        P = complete_graded((5, 1, 5))
+        result = flip_sequence(P, P)
+        assert result.sequence == FlipSequence((), tuple(range(11)))
+        assert refinements == []

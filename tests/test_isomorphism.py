@@ -15,6 +15,7 @@ from posetassoc import (
     StructureViolation,
     all_posets,
     canonical_form,
+    comparability_graph,
     complete_graded,
     connected_posets,
     dual,
@@ -214,6 +215,18 @@ class TestAllIsomorphisms:
                 matcher = nx.isomorphism.DiGraphMatcher(digraph(rows), digraph(other))
                 assert got == ascending_isomorphisms(matcher), P
                 assert got and find_isomorphism(rows, other) == got[0]
+
+    def test_equal_rows(self):
+        # equal inputs get the identity before any refinement, then the rest
+        # of the search without the identity leaf: the order rows and the
+        # comparability rows of every connected poset on <= 5 elements, and
+        # of the empty poset
+        for P in [Poset((), ()), *corpus(5, 1)]:
+            for rows in (P.up, comparability_graph(P)):
+                got = list(_isomorphisms(rows, rows))
+                matcher = nx.isomorphism.DiGraphMatcher(digraph(rows), digraph(rows))
+                assert got == ascending_isomorphisms(matcher), P
+                assert got[0] == tuple(range(len(rows)))
 
     def test_random_digraphs(self):
         rng = random.Random(11)

@@ -306,6 +306,8 @@ class TestPolytopesEquivalent:
         # truncated octahedron is refused as a tubing.  Every facet-graph
         # automorphism carries some vertex onto it, so all 48 are tried and
         # each fails; a search that stopped at its first leaf would try one.
+        # The two facet graphs have equal rows, so the identity comes first,
+        # and the search after it must not yield it again.
         leaves = []
         real_isomorphisms = lattice._isomorphisms
 
@@ -330,6 +332,8 @@ class TestPolytopesEquivalent:
         leaves.clear()
         assert not polytopes_equivalent(claw(4), 4)
         assert len(leaves) == 48
+        assert leaves == sorted(set(leaves))
+        assert leaves[0] == tuple(range(len(leaves[0])))
 
     @pytest.mark.parametrize("P, other, want", [
         (claw(4), 4, True),
