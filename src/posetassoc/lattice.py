@@ -23,8 +23,7 @@ from .errors import MalformedInput, NotATubing, TooSmall
 from .isomorphism import _isomorphisms
 from .posets import (Poset, _contract_rows, _transpose, as_mask, complete_graded, iter_bits,
                      mask_members)
-from .tubings import (TubeComplex, _face_stats, _proper_indices, _require_usable, f_vector,
-                      is_proper_tubing)
+from .tubings import TubeComplex, _face_stats, _proper_indices, _require_usable, is_proper_tubing
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -72,6 +71,8 @@ def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
     to a proper tubing of ``other``.  One with ``dim`` tubes is a vertex,
     the map is injective and the vertex counts are equal, so it carries the
     vertices onto the vertices, and ``other``'s tubings are never walked.
+    Both f-vectors come from the facet recursion through one memo, so the
+    minors the two posets share, relabelled or not, are expanded once.
     ``other`` is checked first, so its ``TooSmall``, ``DisconnectedPoset``
     or ``MalformedInput`` comes before P's.
 
@@ -82,8 +83,14 @@ def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
     maximal tubings onto the prefix chains of the permutations.
     """
     is_poset = isinstance(other, Poset)
-    f_other = f_vector(other) if is_poset else permutohedron_f_vector(other)
-    f = f_vector(P)
+    memo: dict = {}
+    if is_poset:
+        _require_usable(other)
+        f_other = _face_stats(other.up, memo, False)[0]
+    else:
+        f_other = permutohedron_f_vector(other)
+    _require_usable(P)
+    f = _face_stats(P.up, memo, False)[0]
     if f != f_other:
         return False
     if len(f) == 1:

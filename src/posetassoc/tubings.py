@@ -27,7 +27,11 @@ Face counts and the 2-face census do not walk the tubings.  One facet
 recursion, ``_face_stats``, serves ``f_vector`` and
 ``lattice.two_face_census``: it sums over the facets, one per tube t, each
 the product of the polytopes of the restriction P|t and the contraction
-P/t, so its cost follows tubes rather than tubings.
+P/t, so its cost follows tubes rather than tubings.  Its memo keys each
+expanded order twice: by its rows, and by its rows relabelled in order of
+(|down-set|, |up-set|).  Equal rows are equal posets and a relabelling is
+an isomorphism, so both keys are exact, and relabelled copies of one minor
+are expanded once.
 """
 
 from __future__ import annotations
@@ -340,17 +344,36 @@ def _face_stats(up: tuple[int, ...], memo: dict, polygons: bool
         c_k(P) = (1/(d-2)) * sum over t of
                  [c_k(P|t) f_0(P/t) + f_0(P|t) c_k(P/t) + [k=4] f_1(P|t) f_1(P/t)].
 
-    Equal rows are equal posets, so the memo key is exact; one memo serves
-    one value of ``polygons``.
+    The memo has two keys per expanded order: its rows as given, and its
+    rows relabelled into the stable order of (|down-set|, |up-set|), where
+    ties keep their index order.  Equal rows are equal posets, and a
+    relabelling is an isomorphism, which changes neither the face counts
+    nor the census, so both keys are exact; the second one lets relabelled
+    copies of one minor share an expansion.  Rows already in that order are
+    their own second key.  One memo serves one value of ``polygons``.
     """
     stats = memo.get(up)
     if stats is not None:
         return stats
     n = len(up)
-    down = _transpose(up)
-    grown = _grow_tubes(up, down, _undirected(_cover_rows(up)))
+    given, down = up, _transpose(up)
     # the census of a 3-polytope needs its facets, so its base is at 4 elements
     base = _BASE_SIZE - 1 if polygons else _BASE_SIZE
+    degrees = [(low.bit_count(), high.bit_count()) for low, high in zip(down, up)]
+    # an order at the base on an empty memo is the whole call: no later
+    # lookup can use its second key
+    if (memo or n > base) and degrees != sorted(degrees):
+        order = sorted(range(n), key=degrees.__getitem__)
+        image = [0] * n
+        for new, old in enumerate(order):
+            image[old] = 1 << new
+        up = tuple([_union_rows(image, up[old]) for old in order])
+        stats = memo.get(up)
+        if stats is not None:
+            memo[given] = stats
+            return stats
+        down = tuple([_union_rows(image, down[old]) for old in order])
+    grown = _grow_tubes(up, down, _undirected(_cover_rows(up)))
     if n <= base:
         stats = _base_stats(n, len(grown) - n - 1, polygons)
     else:
@@ -387,7 +410,7 @@ def _face_stats(up: tuple[int, ...], memo: dict, polygons: bool
                     gons[4] = gons.get(4, 0) + count * f_in[1] * f_out[1]
         f = (*(_divide(total, d - k, f"{k}-faces") for k, total in enumerate(sums)), 1)
         stats = f, tuple((k, _divide(total, d - 2, f"{k}-gons")) for k, total in gons.items())
-    memo[up] = stats
+    memo[given] = memo[up] = stats
     return stats
 
 
@@ -398,7 +421,8 @@ def f_vector(P: Poset) -> tuple[int, ...]:
     entry is always 1 (the empty tubing, the whole polytope).  They come
     from the facet recursion, so the cost follows the tubes of P and of its
     restrictions and contractions, not the tubings.  The memo lives for
-    this call only.
+    this call only; ``lattice.polytopes_equivalent`` shares one between the
+    f-vectors of its two posets.
     """
     _require_usable(P)
     return _face_stats(P.up, {}, False)[0]

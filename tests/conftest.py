@@ -83,6 +83,16 @@ def seeded_poset(seed: int, n: int) -> Poset:
     return Poset.from_relations(base.labels, tree + extra)
 
 
+def relabelled(P: Poset, rng: random.Random) -> Poset:
+    """P with its elements listed in a random order, labels and relation kept."""
+    perm = rng.sample(range(P.n), P.n)
+    labels = [""] * P.n
+    for i, label in enumerate(P.labels):
+        labels[perm[i]] = label
+    pairs = [(perm[i], perm[j]) for i in range(P.n) for j in range(P.n) if P.less(i, j)]
+    return Poset.from_relations(labels, pairs)
+
+
 # -- oracles ------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from posetassoc import (
     Poset,
@@ -28,6 +29,7 @@ from conftest import (
     oracle_incidence,
     recursive_f_vector,
     recursive_tubings,
+    relabelled,
     scan_face_vertices,
     scan_tubes,
 )
@@ -92,6 +94,14 @@ class TestRandomAgainstSlowPath:
     @given(connected_posets_7_to_9())
     def test_f_vectors(self, P):
         assert f_vector(P) == recursive_f_vector(P)
+
+    # the draws list their elements along a tree; relabelled, their minors
+    # reach the recursion's memo under the degree-sorted key
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(connected_posets_7_to_9(), st.randoms(use_true_random=False))
+    def test_f_vectors_relabelled(self, P, rng):
+        Q = relabelled(P, rng)
+        assert f_vector(Q) == recursive_f_vector(Q)
 
     # Each (tubing, subset) pair costs three flip-map calls, and the
     # strategy's simplest draw, six minima under one top, has 4,683 tubings

@@ -26,11 +26,14 @@ from posetassoc import (
     is_proper_tubing,
     maximal_tubings,
     permutohedron_f_vector,
+    polytopes_equivalent,
     tubing_from_labels,
     tubing_to_labels,
+    two_face_census,
 )
+from posetassoc import tubings
 from posetassoc.posets import iter_bits, mask_members
-from posetassoc.tubings import TubeComplex, _closes_cycle, _proper_indices, _TubeTable
+from posetassoc.tubings import TubeComplex, _closes_cycle, _face_stats, _proper_indices, _TubeTable
 
 from conftest import (
     corpus,
@@ -39,7 +42,9 @@ from conftest import (
     oracle_count_tubings,
     oracle_is_tubing,
     oracle_tubes,
+    relabelled,
     walk_f_vector,
+    walk_two_face_census,
 )
 
 
@@ -354,6 +359,76 @@ class TestFacetRecursion:
         monkeypatch.setattr(tubings, "_base_stats", bumped)
         with pytest.raises(StructureViolation, match="not a multiple of 4"):
             f_vector(chain(6))
+
+
+class TestFacetRecursionMemo:
+    """The memo keys each expanded order by its rows and by its degree-sorted rows."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        grown = []
+        real = tubings._grow_tubes
+
+        def counted(*rows):
+            grown.append(rows)
+            return real(*rows)
+
+        monkeypatch.setattr(tubings, "_grow_tubes", counted)
+        return grown
+
+    @pytest.mark.parametrize("parts, want", [((2, 2, 2, 2), 28), ((2, 2, 2, 2, 2), 66)])
+    def test_relabelled_minors_are_expanded_once(self, expansions, parts, want):
+        # exact row keys alone expand 47 and 135 posets
+        f_vector(complete_graded(parts))
+        assert len(expansions) == want
+
+    def test_census_shares_the_saving(self, expansions):
+        two_face_census(complete_graded((2, 2, 2, 2)))
+        assert len(expansions) == 28
+
+    def test_sorted_rows_are_not_relabelled(self, expansions):
+        # every minor of a chain lists its elements in degree order, so each
+        # expanded order has one key
+        memo = {}
+        _face_stats(chain(10).up, memo, False)
+        assert len(expansions) == len(memo) == 7
+
+    @staticmethod
+    def reversed_rows(P):
+        """P's rows with its elements listed in reverse order."""
+        last = P.n - 1
+        return tuple(sum(1 << last - j for j in iter_bits(P.up[last - i])) for i in range(P.n))
+
+    def test_reversed_listing_hits_the_memo(self, expansions):
+        P = complete_graded((2, 3, 2))
+        memo = {}
+        _face_stats(P.up, memo, False)
+        assert expansions and len(memo) <= 2 * len(expansions)
+        expansions.clear()
+        assert _face_stats(self.reversed_rows(P), memo, False) == memo[P.up]
+        assert expansions == []
+
+    def test_base_order_on_an_empty_memo_is_not_relabelled(self):
+        # graded(2, 3) with its top level first, alone: nothing can look up
+        # its second key
+        rows = self.reversed_rows(complete_graded((2, 3)))
+        memo = {}
+        _face_stats(rows, memo, False)
+        assert list(memo) == [rows]
+
+    def test_equiv_shares_one_memo(self, expansions):
+        # two separate f_vector calls expand 44 posets
+        assert polytopes_equivalent(complete_graded((2, 3, 2)), complete_graded((2, 3, 2)))
+        assert len(expansions) == 18
+
+    def test_relabelled_catalog_against_the_walks(self):
+        rng = random.Random(28)
+        for n, step in ((6, 1), (7, 7)):
+            for P in corpus(n, min_n=n)[::step]:
+                Q = relabelled(P, rng)
+                f, census = f_vector(Q), two_face_census(Q)
+                assert f == walk_f_vector(Q) == f_vector(P), (P, Q.labels)
+                assert census == walk_two_face_census(Q) == two_face_census(P), (P, Q.labels)
 
 
 class TestHVector:
