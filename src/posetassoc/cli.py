@@ -19,7 +19,7 @@ from typing import Sequence
 from .comparability import autonomous_subsets, flip_sequence
 from .errors import (DomainError, InternalError, MalformedInput, PosetTooLarge,
                      StructureViolation)
-from .flips import _flip_bits, classify_tubes, decompose, flip_tubing
+from .flips import _flip_bits, decompose, flip_tubing
 from .lattice import polytopes_equivalent, two_face_census
 from .posets import Poset, _poset_payload, complete_graded, flip
 from .tubings import (
@@ -160,7 +160,7 @@ def _cmd_maximal(P: Poset, args, parser) -> tuple[dict, list]:
 def _cmd_decompose(P: Poset, args, parser) -> tuple[dict, list]:
     subset = _subset_mask(P, args.subset)
     tubing = _load_tubing(P, args.tubing)
-    dec = decompose(P, subset, classify_tubes(P, subset, tubing))
+    dec = decompose(P, subset, tubing)
     payload = dec.to_dict(P)
     rows = _decomposition_rows(payload)
     return payload, rows
@@ -181,7 +181,7 @@ def _cmd_flip_map(P: Poset, args, parser) -> tuple[dict, list]:
     tubing = _load_tubing(P, args.tubing)
     image = flip_tubing(P, subset, tubing)
     flipped = flip(P, subset)
-    dec = decompose(flipped, subset, classify_tubes(flipped, subset, image))
+    dec = decompose(flipped, subset, image)
     payload = {
         "poset": flipped.to_dict(),
         "tubing": tubing_to_labels(flipped, image),

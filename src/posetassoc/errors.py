@@ -65,9 +65,5 @@ class StructureViolation(InternalError):
     """Internal consistency check failed; indicates a bug, not bad input."""
 
 
-class MalformedDecomposition(DomainError):
-    """Star marks and block counts of a decomposition do not line up."""
-
-
 class PosetTooLarge(DomainError):
     """Enumeration refused without --force; the poset exceeds the size guard."""

@@ -8,6 +8,13 @@ outside parts with star marks, plus the blocks of subset elements absorbed
 at the starred steps; reversing the block order and replaying the recursion
 on the flipped poset yields the image tubing.
 
+Tubings are the layer's only input from outside, and decompositions are
+output only.  `decompose(P, subset, tubing)` checks the poset, the subset
+and the tubing, splits the tubes by kind and encodes the bad ones; it and
+the engine below build every decomposition with `_decompose` from the
+chains of a proper tubing, so a decomposition that fails
+`Decomposition.validate` is a bug, raised as `StructureViolation`.
+
 One engine, `_flip_bits`, carries tubings as bitsets over the tube indices
 of a tube table of the poset to bitsets over those of a table of the
 flipped poset.  Its rule is that a caller checks the tubings it brings in
@@ -24,9 +31,9 @@ rather than once per tubing is per-tube work (each tube's kind relative to
 the subset, and each good tube's index in the flipped poset's table) and
 per-chain-pair work: the bad tubes of the image depend only on the lower
 and upper chains and the subset, so the nesting check, `_decompose` (the
-body of `decompose`, with its `Decomposition.validate`, a pure function of
+last step of `decompose`, with its `Decomposition.validate`, a pure function of
 that pair) and the rebuild run once for each distinct pair of chains.
-`flip_tubings` is the engine for tube masks, and the only caller whose
+`flip_tubings` is the engine for tube masks, and its only caller whose
 tubings come from outside: it flips the subset once per call, turns masks
 into bitsets over a per-call table of the poset with `_TubeTable.bits`,
 checks each with `_proper_indices`, and turns the images back into masks
@@ -41,13 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import (
-    MalformedDecomposition,
-    NotATubing,
-    StructureViolation,
-)
-from .posets import (Poset, _require_autonomous, _require_inside, _union_rows, as_mask, flip,
-                     iter_bits)
+from .errors import NotATubing, StructureViolation
+from .posets import Poset, _require_autonomous, _union_rows, as_mask, flip, iter_bits
 from .tubings import Tubing, _proper_indices, _require_usable, _TubeTable, is_proper_tubing
 
 
@@ -60,7 +62,7 @@ class DecoratedSequence:
 
     def __post_init__(self):
         if len(self.sets) != len(self.starred):
-            raise MalformedDecomposition("one star mark per set required")
+            raise StructureViolation("one star mark per set required")
 
     @property
     def star_count(self) -> int:
@@ -68,19 +70,6 @@ class DecoratedSequence:
 
     def __len__(self) -> int:
         return len(self.sets)
-
-
-@dataclass(frozen=True)
-class TubeClassification:
-    """Tubes of a tubing split relative to an autonomous subset."""
-
-    good: frozenset[int]
-    lower: tuple[int, ...]  # strictly nested, increasing
-    upper: tuple[int, ...]
-
-    @property
-    def bad(self) -> frozenset[int]:
-        return frozenset(self.lower) | frozenset(self.upper)
 
 
 @dataclass(frozen=True)
@@ -98,40 +87,38 @@ class Decomposition:
     has_remainder: bool
 
     def validate(self, subset: int) -> None:
-        """Raise MalformedDecomposition unless the shape invariants hold."""
+        """Raise StructureViolation unless the shape invariants hold."""
         stars = self.lower.star_count + self.upper.star_count
         expected = len(self.blocks) - (1 if self.has_remainder else 0)
         if stars != expected:
-            raise MalformedDecomposition(
+            raise StructureViolation(
                 f"{stars} stars cannot consume {len(self.blocks)} blocks"
                 f" (remainder block: {self.has_remainder})"
             )
         union = 0
         for block in self.blocks:
             if block == 0:
-                raise MalformedDecomposition("blocks must be nonempty")
+                raise StructureViolation("blocks must be nonempty")
             if block & union:
-                raise MalformedDecomposition("blocks must be disjoint")
+                raise StructureViolation("blocks must be disjoint")
             if block & ~subset:
-                raise MalformedDecomposition("blocks must lie inside the subset")
+                raise StructureViolation("blocks must lie inside the subset")
             union |= block
         if union != subset:
-            raise MalformedDecomposition("blocks must cover the subset")
+            raise StructureViolation("blocks must cover the subset")
         for seq in (self.lower, self.upper):
             if seq.sets and not seq.starred[0]:
                 # the innermost tube of a chain always absorbs subset elements
-                raise MalformedDecomposition("first set of a chain must be starred")
+                raise StructureViolation("first set of a chain must be starred")
             prev = 0
             for i, current in enumerate(seq.sets):
                 if current & subset:
-                    raise MalformedDecomposition(
-                        "nested sets must avoid the subset"
-                    )
+                    raise StructureViolation("nested sets must avoid the subset")
                 if prev & ~current:
-                    raise MalformedDecomposition("sets must be nested")
+                    raise StructureViolation("sets must be nested")
                 if current == prev and not seq.starred[i]:
                     # an unstarred repeat cannot grow the tube
-                    raise MalformedDecomposition(
+                    raise StructureViolation(
                         "a set equal to its predecessor must be starred"
                     )
                 prev = current
@@ -155,23 +142,6 @@ class Decomposition:
             "M": [sorted(P.labels_of(b)) for b in self.blocks],
             "U": seq_out(self.upper),
         }
-
-
-def classify_tubes(
-    P: Poset, subset: int | Iterable[int], tubing: Iterable[int]
-) -> TubeClassification:
-    """Split a tubing into good tubes and the two nested chains of bad ones."""
-    _require_usable(P)
-    s_mask = as_mask(subset)
-    _require_autonomous(P, s_mask)
-    tubes = [as_mask(t) for t in tubing]
-    if not is_proper_tubing(P, tubes):
-        raise NotATubing("input is not a proper tubing")
-    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for tube in tubes:
-        parts[_kind(P, s_mask, tube)].append(tube)
-    good, lower, upper = parts
-    return TubeClassification(frozenset(good), _chain(lower), _chain(upper))
 
 
 _GOOD, _LOWER, _UPPER = range(3)
@@ -217,22 +187,36 @@ def _decorate(subset: int, chain: tuple[int, ...]) -> tuple[DecoratedSequence, l
 
 
 def decompose(
-    P: Poset, subset: int | Iterable[int], classification: TubeClassification
+    P: Poset, subset: int | Iterable[int], tubing: Iterable[int]
 ) -> Decomposition:
-    """Encode the bad tubes as (lower sequence, ordered blocks, upper sequence).
+    """Encode a tubing's bad tubes as (lower sequence, ordered blocks, upper sequence).
 
-    Walking the lower chain outward, each tube contributes its part outside
-    the subset; a star marks the steps that absorb new subset elements, and
-    those elements form the next block.  The upper chain is encoded the same
-    way; its blocks are consumed from the far end.  Subset elements touched
-    by no bad tube form one middle block, dropped when empty.
+    The tubing's tubes are split relative to the subset into good ones,
+    which the decomposition leaves out, and the lower and upper chains of
+    bad ones.  Walking the lower chain outward, each tube contributes its
+    part outside the subset; a star marks the steps that absorb new subset
+    elements, and those elements form the next block.  The upper chain is
+    encoded the same way; its blocks are consumed from the far end.  Subset
+    elements touched by no bad tube form one middle block, dropped when
+    empty.  A disconnected P, or one with fewer than two elements, is
+    refused first; then a subset that is not autonomous, or names an
+    element outside P, and then a tubing that is not proper (NotATubing).
     """
-    s_mask = _require_inside(P, as_mask(subset))
-    return _decompose(s_mask, classification.lower, classification.upper)
+    _require_usable(P)
+    s_mask = as_mask(subset)
+    _require_autonomous(P, s_mask)
+    tubes = [as_mask(t) for t in tubing]
+    if not is_proper_tubing(P, tubes):
+        raise NotATubing("input is not a proper tubing")
+    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for tube in tubes:
+        parts[_kind(P, s_mask, tube)].append(tube)
+    _, lower, upper = parts
+    return _decompose(s_mask, _chain(lower), _chain(upper))
 
 
 def _decompose(s_mask: int, lower: tuple[int, ...], upper: tuple[int, ...]) -> Decomposition:
-    """The body of ``decompose``, on the two chains of bad tubes, validated."""
+    """The last step of ``decompose``, on the two chains of bad tubes, validated."""
     lower_seq, lower_blocks = _decorate(s_mask, lower)
     upper_seq, upper_blocks = _decorate(s_mask, upper)
     touched = 0
@@ -250,27 +234,12 @@ def _decompose(s_mask: int, lower: tuple[int, ...], upper: tuple[int, ...]) -> D
     return result
 
 
-def reconstruct(
-    P: Poset, subset: int | Iterable[int], decomposition: Decomposition
-) -> frozenset[int]:
-    """Rebuild the bad tubes from a decomposition.
+def _rebuild(decomposition: Decomposition) -> frozenset[int]:
+    """The bad tubes of a validated decomposition.
 
     The lower chain grows by its recorded sets, consuming blocks from the
     front at starred steps; the upper chain consumes blocks from the back.
-    A subset, block or set naming an element outside P raises
-    ElementNotFound.
     """
-    s_mask = as_mask(subset)
-    named = s_mask
-    for mask in decomposition.blocks + decomposition.lower.sets + decomposition.upper.sets:
-        named |= mask
-    _require_inside(P, named)
-    decomposition.validate(s_mask)
-    return _rebuild(decomposition)
-
-
-def _rebuild(decomposition: Decomposition) -> frozenset[int]:
-    """The loop of ``reconstruct``, for a decomposition it would accept."""
     blocks = decomposition.blocks
     tubes = set()
     for seq, order in ((decomposition.lower, blocks), (decomposition.upper, blocks[::-1])):
@@ -349,13 +318,7 @@ def _flip_bits(
         if image is None:
             lower_chain = _chain([tubes[i] for i in iter_bits(chains[0])])
             upper_chain = _chain([tubes[i] for i in iter_bits(chains[1])])
-            try:
-                decomposition = _decompose(s_mask, lower_chain, upper_chain)
-            except MalformedDecomposition as exc:
-                # the chains come from a proper tubing, so this is a bug, not bad input
-                raise StructureViolation(
-                    f"the bad tubes of a proper tubing decompose badly: {exc}"
-                ) from exc
+            decomposition = _decompose(s_mask, lower_chain, upper_chain)
             # reversal keeps every condition that _decompose has validated
             image = target.bits(_rebuild(decomposition.reversed_blocks()))
             if image is None:

@@ -172,6 +172,32 @@ def oracle_autonomous(P: Poset, members: frozenset[int]) -> bool:
     return True
 
 
+def oracle_classify(P: Poset, S: int, T) -> tuple[frozenset[int], tuple[int, ...], tuple[int, ...]]:
+    """Good tubes, then the lower and upper bad tubes by size, from the definition.
+
+    A tube is good when it avoids the subset S, lies inside it or holds all
+    of it.  A bad tube is lower when one of its elements outside S lies
+    below one inside S, and upper when one lies above; an autonomous S
+    makes it exactly one of the two, and anything else raises
+    StructureViolation.  Tubes and S are masks; tubes of one size keep
+    their order in T.
+    """
+    good, lower, upper = set(), [], []
+    for tube in T:
+        if not tube & S or not tube & ~S or not S & ~tube:
+            good.add(tube)
+            continue
+        inside = [x for x in range(P.n) if (tube & S) >> x & 1]
+        outside = [x for x in range(P.n) if (tube & ~S) >> x & 1]
+        below = any(P.less(x, s) for x in outside for s in inside)
+        above = any(P.less(s, x) for x in outside for s in inside)
+        if below == above:
+            raise StructureViolation(f"bad tube {tube:#b} is lower {below}, upper {above}")
+        (lower if below else upper).append(tube)
+    return (frozenset(good), tuple(sorted(lower, key=int.bit_count)),
+            tuple(sorted(upper, key=int.bit_count)))
+
+
 def masks_to_sets(tubing) -> set[frozenset[int]]:
     return {frozenset(mask_members(t)) for t in tubing}
 

@@ -863,11 +863,11 @@ class TestInternalError:
             "message": "forced failure",
         }
 
-    @pytest.mark.parametrize("verb", ["check-invariance", "flip-map"])
+    @pytest.mark.parametrize("verb", ["check-invariance", "flip-map", "decompose"])
     def test_malformed_engine_decomposition_exits_3(self, capsys, monkeypatch,
                                                    tubing_file, verb):
-        # the flip engine decomposes the chains of a proper tubing it
-        # classified itself, so a malformed decomposition there is a bug
+        # every decomposition is built from the chains of a proper tubing,
+        # so a malformed one is a bug
         real_decorate = flips._decorate
 
         def drop_stars(subset, chain):
@@ -876,25 +876,17 @@ class TestInternalError:
 
         monkeypatch.setattr(flips, "_decorate", drop_stars)
         argv = ["check-invariance", "graded:1,2,2"]
-        if verb == "flip-map":
-            argv = ["flip-map", "graded:1,2,1", "--subset", "x2_1,x2_2",
+        if verb != "check-invariance":
+            argv = [verb, "graded:1,2,1", "--subset", "x2_1,x2_2",
                     "--tubing", tubing_file([["x1_1", "x2_1"]])]
         code, data = invoke_json(capsys, *argv)
         assert code == 3 and data["error"] == "StructureViolation"
 
     def test_only_bugs_are_internal(self):
-        # MalformedDecomposition is also raised for decompositions that
-        # callers pass in, so it keeps exit 1
-        from posetassoc import (
-            DomainError,
-            InternalError,
-            MalformedDecomposition,
-            StructureViolation,
-        )
+        from posetassoc import DomainError, InternalError, StructureViolation
 
         assert issubclass(InternalError, DomainError)
         assert issubclass(StructureViolation, InternalError)
-        assert not issubclass(MalformedDecomposition, InternalError)
 
 
 def mostly(draw) -> bool:

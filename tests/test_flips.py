@@ -1,4 +1,9 @@
-"""Classification, decomposition, reconstruction, and the tubing flip map."""
+"""Decomposition, its rebuild, and the tubing flip map.
+
+The good, lower and upper tubes of a tubing come from ``conftest``'s
+``oracle_classify``, written from the definition, and the engine's own
+split is checked against it through ``decompose`` and ``flips._rebuild``.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ from posetassoc import (
     DisconnectedPoset,
     DomainError,
     ElementNotFound,
-    MalformedDecomposition,
     NotATubing,
     NotAutonomous,
     Poset,
@@ -21,7 +25,6 @@ from posetassoc import (
     antichain,
     autonomous_subsets,
     chain,
-    classify_tubes,
     complete_graded,
     decompose,
     enumerate_tubings,
@@ -30,14 +33,14 @@ from posetassoc import (
     flip_tubing,
     flip_tubings,
     is_proper_tubing,
-    reconstruct,
 )
 from posetassoc import cli, flips
 from posetassoc.flips import _flip_bits
 from posetassoc.posets import iter_bits
 from posetassoc.tubings import TubeComplex, _proper_indices, _TubeTable
 
-from conftest import corpus, is_weakly_increasing, listwise_is_tubing, seeded_poset
+from conftest import (corpus, is_weakly_increasing, listwise_is_tubing, oracle_classify,
+                      seeded_poset)
 
 
 # posets with no associahedron, each with an autonomous subset
@@ -51,63 +54,85 @@ def three_chain():
     return P, P.mask_of(["s1", "s2"])
 
 
+def bad_tubes(P, S, T):
+    """The lower and upper tubes of ``oracle_classify``, as one set."""
+    _, lower, upper = oracle_classify(P, S, T)
+    return frozenset(lower + upper)
+
+
 class TestClassify:
+    """The oracle's split, and the tubes that ``decompose`` keeps as bad."""
+
     def test_empty_tubing(self, three_chain):
         P, S = three_chain
-        cls = classify_tubes(P, S, frozenset())
-        assert not cls.good and not cls.lower and not cls.upper
+        good, lower, upper = oracle_classify(P, S, frozenset())
+        assert not good and not lower and not upper
+        assert flips._rebuild(decompose(P, S, frozenset())) == frozenset()
 
     def test_lower_tube(self, three_chain):
         P, S = three_chain
-        cls = classify_tubes(P, S, [P.mask_of(["a", "s1"])])
-        assert cls.lower == (P.mask_of(["a", "s1"]),)
-        assert not cls.upper and not cls.good
+        T = [P.mask_of(["a", "s1"])]
+        good, lower, upper = oracle_classify(P, S, T)
+        assert lower == (P.mask_of(["a", "s1"]),)
+        assert not upper and not good
+        dec = decompose(P, S, T)
+        assert len(dec.lower) == 1 and len(dec.upper) == 0
+        assert flips._rebuild(dec) == frozenset(lower)
 
     def test_tube_inside_subset_is_good(self, three_chain):
         P, S = three_chain
-        cls = classify_tubes(P, S, [P.mask_of(["s1", "s2"])])
-        assert cls.good == {P.mask_of(["s1", "s2"])}
+        T = [P.mask_of(["s1", "s2"])]
+        good, _, _ = oracle_classify(P, S, T)
+        assert good == {P.mask_of(["s1", "s2"])}
+        assert flips._rebuild(decompose(P, S, T)) == frozenset()
 
     def test_upper_tube(self):
         P = Poset(["s1", "s2", "a"], [0b110, 0b100, 0])
         S = P.mask_of(["s1", "s2"])
-        cls = classify_tubes(P, S, [P.mask_of(["s2", "a"])])
-        assert cls.upper == (P.mask_of(["s2", "a"]),)
+        T = [P.mask_of(["s2", "a"])]
+        _, lower, upper = oracle_classify(P, S, T)
+        assert upper == (P.mask_of(["s2", "a"]),) and not lower
+        dec = decompose(P, S, T)
+        assert len(dec.lower) == 0 and len(dec.upper) == 1
+        assert flips._rebuild(dec) == frozenset(upper)
 
     def test_not_autonomous(self):
         P = chain(3)
         with pytest.raises(NotAutonomous):
-            classify_tubes(P, P.mask_of(["a", "c"]), frozenset())
+            decompose(P, P.mask_of(["a", "c"]), frozenset())
 
     @pytest.mark.parametrize("P, S, error", NO_ASSOCIAHEDRON)
     def test_no_associahedron(self, P, S, error):
         with pytest.raises(error):
-            classify_tubes(P, S, frozenset())
+            decompose(P, S, frozenset())
 
     def test_not_a_tubing(self, three_chain):
         P, S = three_chain
         with pytest.raises(NotATubing):
-            classify_tubes(P, S, [P.mask_of(["a", "s1"]), P.mask_of(["s1", "s2"])])
+            decompose(P, S, [P.mask_of(["a", "s1"]), P.mask_of(["s1", "s2"])])
 
     @pytest.mark.parametrize("tube", [0b11000, 0b1001, -3])
     def test_tube_outside_the_poset(self, tube):
         with pytest.raises(NotATubing):
-            classify_tubes(chain(3), 0b11, [tube])
+            decompose(chain(3), 0b11, [tube])
 
     def test_partition_is_exhaustive(self, connected_upto_5):
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))
             for S in autonomous_subsets(P, 2):
                 for T in tubings:
-                    cls = classify_tubes(P, S, T)  # StructureViolation = bug
-                    assert cls.good | cls.bad == T
-                    assert not (cls.good & cls.bad)
+                    good, lower, upper = oracle_classify(P, S, T)
+                    bad = frozenset(lower + upper)
+                    assert good | bad == T
+                    assert not (good & bad)
+                    # StructureViolation = bug
+                    assert flips._rebuild(decompose(P, S, T)) == bad
 
 
 class TestDecompose:
     def test_worked_example(self, three_chain):
         P, S = three_chain
-        dec = decompose(P, S, classify_tubes(P, S, [P.mask_of(["a", "s1"])]))
+        dec = decompose(P, S, [P.mask_of(["a", "s1"])])
         assert dec.lower.sets == (P.mask_of(["a"]),)
         assert dec.lower.starred == (True,)
         assert dec.blocks == (P.mask_of(["s1"]), P.mask_of(["s2"]))
@@ -116,7 +141,7 @@ class TestDecompose:
 
     def test_untouched_subset_is_one_block(self, three_chain):
         P, S = three_chain
-        dec = decompose(P, S, classify_tubes(P, S, frozenset()))
+        dec = decompose(P, S, frozenset())
         assert dec.blocks == (S,)
         assert dec.has_remainder
         assert not dec.lower.sets and not dec.upper.sets
@@ -126,23 +151,31 @@ class TestDecompose:
         P = Poset(["b", "a", "s1", "s2"], [0b1110, 0b1100, 0b1000, 0])
         S = P.mask_of(["s1", "s2"])
         T = [P.mask_of(["a", "s1"]), P.mask_of(["a", "b", "s1"])]
-        dec = decompose(P, S, classify_tubes(P, S, T))
+        dec = decompose(P, S, T)
         assert dec.lower.starred == (True, False)
         assert dec.lower.sets == (P.mask_of(["a"]), P.mask_of(["a", "b"]))
         assert dec.blocks == (P.mask_of(["s1"]), P.mask_of(["s2"]))
 
+    def test_tube_inside_the_subset_leaves_one_block(self):
+        # the tube {x1_1, x2_1} lies inside S, so it is good and no bad tube
+        # touches S
+        P = complete_graded((1, 2, 1))
+        S = P.mask_of(["x1_1", "x2_1", "x2_2"])
+        dec = decompose(P, S, [P.mask_of(["x1_1", "x2_1"])])
+        assert dec.to_dict(P) == {"L": [], "M": [["x1_1", "x2_1", "x2_2"]], "U": []}
+        assert dec.has_remainder
+
     @pytest.mark.parametrize("subset", [0b11000, 0b1001, -3, -1])
     def test_subset_outside_the_poset(self, subset):
-        P = chain(3)
         with pytest.raises(ElementNotFound):
-            decompose(P, subset, classify_tubes(P, 0b11, []))
+            decompose(chain(3), subset, [])
 
     def test_blocks_partition_subset_and_increase(self, connected_upto_5):
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))
             for S in autonomous_subsets(P, 2):
                 for T in tubings:
-                    dec = decompose(P, S, classify_tubes(P, S, T))
+                    dec = decompose(P, S, T)
                     union = 0
                     for block in dec.blocks:
                         assert block and not (block & union)
@@ -152,19 +185,25 @@ class TestDecompose:
 
 
 class TestReconstruct:
+    """``flips._rebuild`` on decompositions, and ``Decomposition.validate``."""
+
     def test_empty(self, three_chain):
         P, S = three_chain
         dec = Decomposition(
             DecoratedSequence((), ()), (S,), DecoratedSequence((), ()), True
         )
-        assert reconstruct(P, S, dec) == frozenset()
+        dec.validate(S)
+        assert flips._rebuild(dec) == frozenset()
 
     def test_reversed_blocks_give_flipped_tube(self, three_chain):
         P, S = three_chain
-        dec = decompose(P, S, classify_tubes(P, S, [P.mask_of(["a", "s1"])]))
+        dec = decompose(P, S, [P.mask_of(["a", "s1"])])
         flipped = flip(P, S)
-        rebuilt = reconstruct(flipped, S, dec.reversed_blocks())
+        reversed_dec = dec.reversed_blocks()
+        reversed_dec.validate(S)
+        rebuilt = flips._rebuild(reversed_dec)
         assert rebuilt == frozenset([P.mask_of(["a", "s2"])])
+        assert is_proper_tubing(flipped, rebuilt)
 
     def test_identity_roundtrip(self, connected_upto_5):
         # and each image, decomposed on the flipped poset, has the reversed
@@ -174,31 +213,14 @@ class TestReconstruct:
             for S in autonomous_subsets(P, 2):
                 flipped = flip(P, S)
                 for T, image in zip(tubings, flip_tubings(P, S, tubings), strict=True):
-                    cls = classify_tubes(P, S, T)
-                    dec = decompose(P, S, cls)
-                    assert reconstruct(P, S, dec) == cls.bad
-                    back = decompose(flipped, S, classify_tubes(flipped, S, image))
+                    dec = decompose(P, S, T)
+                    assert flips._rebuild(dec) == bad_tubes(P, S, T)
+                    back = decompose(flipped, S, image)
                     assert back == dec.reversed_blocks()
 
-    @pytest.mark.parametrize(
-        "subset, blocks, lower_sets",
-        [
-            (0b11000, (0b11000,), (0b100000,)),  # all of it outside chain(3)
-            (-1, (-1,), ()),
-            (0b110, (0b1110,), (0b1,)),  # a block outside
-            (0b110, (0b110,), (0b1000,)),  # a set outside
-            (0b110, (0b110,), (-8,)),
-        ],
-    )
-    def test_mask_outside_the_poset(self, subset, blocks, lower_sets):
-        dec = Decomposition(
-            DecoratedSequence(lower_sets, (True,) * len(lower_sets)),
-            blocks,
-            DecoratedSequence((), ()),
-            not lower_sets,
-        )
-        with pytest.raises(ElementNotFound):
-            reconstruct(chain(3), subset, dec)
+    def test_one_star_mark_per_set(self):
+        with pytest.raises(StructureViolation, match="one star mark per set"):
+            DecoratedSequence((0b1,), ())
 
     def test_star_block_mismatch(self, three_chain):
         P, S = three_chain
@@ -208,19 +230,22 @@ class TestReconstruct:
             DecoratedSequence((), ()),
             True,
         )
-        with pytest.raises(MalformedDecomposition):
-            reconstruct(P, S, bad)
+        with pytest.raises(StructureViolation, match="1 stars cannot consume 1 blocks"):
+            bad.validate(S)
 
     def test_unstarred_first_set_rejected(self, three_chain):
         P, S = three_chain
+        # one star for the one block besides the remainder, so the star
+        # count passes and the unstarred first set is what fails
+        a = P.mask_of(["a"])
         bad = Decomposition(
-            DecoratedSequence((P.mask_of(["a"]),), (False,)),
-            (S,),
+            DecoratedSequence((a, a), (False, True)),
+            (P.mask_of(["s1"]), P.mask_of(["s2"])),
             DecoratedSequence((), ()),
-            False,
+            True,
         )
-        with pytest.raises(MalformedDecomposition):
-            reconstruct(P, S, bad)
+        with pytest.raises(StructureViolation, match="first set of a chain must be starred"):
+            bad.validate(S)
 
     def test_non_nested_sets_rejected(self, three_chain):
         P, S = three_chain
@@ -231,8 +256,8 @@ class TestReconstruct:
             DecoratedSequence((), ()),
             False,
         )
-        with pytest.raises(MalformedDecomposition):
-            reconstruct(P, S, bad)
+        with pytest.raises(StructureViolation, match="sets must be nested"):
+            bad.validate(S)
 
     def test_blocks_must_cover_subset(self, three_chain):
         P, S = three_chain
@@ -242,8 +267,8 @@ class TestReconstruct:
             DecoratedSequence((), ()),
             False,
         )
-        with pytest.raises(MalformedDecomposition):
-            reconstruct(P, S, bad)
+        with pytest.raises(StructureViolation, match="blocks must cover the subset"):
+            bad.validate(S)
 
 
 class TestFlipTubing:
@@ -283,7 +308,7 @@ class TestFlipTubing:
                     image = flip_tubing(P, S, T)
                     assert len(image) == len(T)
                     assert is_proper_tubing(flipped, image)
-                    assert classify_tubes(P, S, T).good <= image
+                    assert oracle_classify(P, S, T)[0] <= image
                     assert flip_tubing(flipped, S, image) == T
                     images.add(image)
                 assert len(images) == len(tubings)
@@ -309,16 +334,19 @@ class TestFlipTubing:
 
 
 def _oracle_flip(P, S, flipped, T, proper):
-    """One tubing through the public steps, its input and image checked listwise.
+    """One tubing through fresh steps, its input and image checked listwise.
 
     ``proper`` is ``listwise_is_tubing(P, T)``, which does not depend on S.
+    The good tubes come from ``oracle_classify``, and the bad ones from the
+    public ``decompose``, its blocks reversed and rebuilt.
     """
     tubes = list(T)
     if not proper:
         raise NotATubing("oracle input is not a proper tubing")
-    classification = classify_tubes(P, S, tubes)
-    dec = decompose(P, S, classification)
-    image = classification.good | reconstruct(flipped, S, dec.reversed_blocks())
+    good, _, _ = oracle_classify(P, S, tubes)
+    reversed_dec = decompose(P, S, tubes).reversed_blocks()
+    reversed_dec.validate(S)
+    image = good | flips._rebuild(reversed_dec)
     if len(image) != len(tubes) or not listwise_is_tubing(flipped, image):
         raise StructureViolation("oracle image is not a proper tubing of the same size")
     return image
@@ -438,8 +466,8 @@ class TestChecksStayLiveWithWarmMemo:
         # the chain pairs in order of first use; the tenth is rebuilt tenth
         first_use = {}
         for k, T in enumerate(tubings):
-            cls = classify_tubes(P, S, T)
-            first_use.setdefault((cls.lower, cls.upper), k)
+            _, lower, upper = oracle_classify(P, S, T)
+            first_use.setdefault((lower, upper), k)
         corrupted_pair, stop = list(first_use.items())[9]
         assert corrupted_pair != ((), ())
         real = flips._rebuild
@@ -470,9 +498,9 @@ class TestChecksStayLiveWithWarmMemo:
         tubes = [next(iter(T)) for T in tubings if len(T) == 1]
         cases = 0
         for S in autonomous_subsets(P, 2):
-            good = [t for t in tubes if classify_tubes(P, S, [t]).good]
+            good = [t for t in tubes if oracle_classify(P, S, [t])[0]]
             for T in tubings:
-                if not classify_tubes(P, S, T).bad:
+                if not bad_tubes(P, S, T):
                     continue
                 # a crossing or cyclic good tube, or a good tube listed twice
                 extra = [g for g in good if not is_proper_tubing(P, [*T, g])][:2]
@@ -493,8 +521,8 @@ class TestChecksStayLiveWithWarmMemo:
         for S in autonomous_subsets(P, 2):
             pairs[S] = set()
             for T in tubings:
-                cls = classify_tubes(P, S, T)
-                pairs[S].add((cls.lower, cls.upper))
+                _, lower, upper = oracle_classify(P, S, T)
+                pairs[S].add((lower, upper))
         checked = []
         decomposed = []
         real_check, real_decompose = flips._proper_indices, flips._decompose
@@ -576,12 +604,12 @@ class TestSerialization:
     def test_remainder_flag_not_stored(self, three_chain):
         P, S = three_chain
         for T in enumerate_tubings(P):
-            data = decompose(P, S, classify_tubes(P, S, T)).to_dict(P)
+            data = decompose(P, S, T).to_dict(P)
             assert "has_remainder" not in data
 
     def test_schema_shape(self, three_chain):
         P, S = three_chain
-        dec = decompose(P, S, classify_tubes(P, S, [P.mask_of(["a", "s1"])]))
+        dec = decompose(P, S, [P.mask_of(["a", "s1"])])
         data = dec.to_dict(P)
         assert data == {
             "L": [{"set": ["a"], "star": True}],
