@@ -17,8 +17,7 @@ from functools import cache
 from typing import Sequence
 
 from .comparability import autonomous_subsets, flip_sequence
-from .errors import (DomainError, InternalError, MalformedInput, PosetTooLarge,
-                     StructureViolation)
+from .errors import DomainError, MalformedInput, PosetTooLarge, StructureViolation
 from .flips import _flip_bits, decompose, flip_tubing
 from .lattice import polytopes_equivalent, two_face_census
 from .posets import Poset, _poset_payload, complete_graded, flip
@@ -197,7 +196,7 @@ def _cmd_check_invariance(P: Poset, args, parser) -> tuple[dict, list]:
     cx = TubeComplex(P)
     walked = list(cx.walk())
     results = []
-    for subset in autonomous_subsets(P, 2):
+    for subset in autonomous_subsets(P):
         flipped = flip(P, subset)
         # the flip back lands on P's own tube table, so it must give back P
         if flip(flipped, subset).up != P.up:
@@ -325,7 +324,7 @@ def run(argv: Sequence[str]) -> int:
             )
         )
         sys.stdout.write("\n")
-        return 3 if isinstance(exc, InternalError) else 1
+        return 3 if isinstance(exc, StructureViolation) else 1
     _emit(payload, rows, args.format)
     return 0
 

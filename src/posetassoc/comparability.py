@@ -36,24 +36,15 @@ def comparability_graph(P: Poset) -> tuple[int, ...]:
     return tuple(u | d for u, d in zip(P.up, P.down))
 
 
-def graphs_isomorphic(G1: Sequence[int], G2: Sequence[int]) -> tuple[int, ...] | None:
-    """A vertex bijection witnessing isomorphism of two row graphs, or None."""
-    return find_isomorphism(G1, G2)
-
-
-def poset_isomorphism(P: Poset, Q: Poset) -> tuple[int, ...] | None:
-    """An order-preserving index bijection from P onto Q, or None."""
-    return find_isomorphism(P.up, Q.up)
-
-
-def autonomous_subsets(P: Poset, min_size: int = 1) -> list[int]:
-    """All nonempty autonomous subsets with at least min_size elements.
+def autonomous_subsets(P: Poset) -> list[int]:
+    """All autonomous subsets with at least two elements.
 
     Includes the full ground set; sorted by (size, member indices).
+    Singletons are left out: each is autonomous, and its flip is the poset.
     """
     found = []
     for mask in range(1, P.full_mask + 1):
-        if mask.bit_count() >= min_size and is_autonomous(P, mask):
+        if mask.bit_count() >= 2 and is_autonomous(P, mask):
             found.append(mask)
     found.sort(key=lambda m: (m.bit_count(), mask_members(m)))
     return found
@@ -64,6 +55,9 @@ def autonomous_subsets(P: Poset, min_size: int = 1) -> list[int]:
 
 def canonical_rows(rows: Sequence[int]) -> tuple[int, ...]:
     """Minimum relation matrix over all relabelings.
+
+    Two posets are isomorphic iff their ``up`` rows have equal canonical
+    rows.
 
     Vertices are bucketed by refined color; only permutations that keep
     each bucket in its place are enumerated, which is exact because any
@@ -130,11 +124,6 @@ def _twin_orders(
     return extend()
 
 
-def canonical_form(P: Poset) -> tuple[int, ...]:
-    """Canonical relation matrix of a poset; equal iff posets are isomorphic."""
-    return canonical_rows(P.up)
-
-
 def _catalog_labels(n: int) -> tuple[str, ...]:
     return tuple(f"e{i + 1}" for i in range(n))
 
@@ -195,11 +184,11 @@ class FlipSearchResult:
 def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
     """Breadth-first search for a flip sequence carrying P onto P2.
 
-    States are explored modulo isomorphism (keyed by canonical form); moves
-    are flips of autonomous subsets with at least two elements, the full
-    ground set included.  Singleton flips do nothing and are skipped, and
-    so are flips of a subset whose suborder is a chain or an antichain,
-    before any flip or canonical form is built.  This is exact: an
+    States are explored modulo isomorphism (keyed by ``canonical_rows``); moves
+    are flips of the subsets from ``autonomous_subsets``, which has no
+    singletons and includes the full ground set.  Flips of a subset whose
+    suborder is a chain or an antichain are skipped, before any flip or
+    canonical rows are built.  This is exact: an
     antichain's flip leaves the rows as they are, and a chain's flip is
     undone by reversing its members, which fixes every outside relation
     because the subset is autonomous.  Either way the flipped poset is
@@ -209,19 +198,19 @@ def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
     comparability class raises ``StructureViolation``.  Each state scans
     all 2^n masks for its autonomous subsets, so the CLI guards the size.
     """
-    if graphs_isomorphic(comparability_graph(P), comparability_graph(P2)) is None:
+    if find_isomorphism(comparability_graph(P), comparability_graph(P2)) is None:
         return FlipSearchResult(None, GRAPHS_DIFFER)
-    target = canonical_form(P2)
+    target = canonical_rows(P2.up)
 
     def finish(final: Poset, steps: tuple[int, ...]) -> FlipSearchResult:
-        witness = poset_isomorphism(final, P2)
+        witness = find_isomorphism(final.up, P2.up)
         if witness is None:
             raise StructureViolation(
                 "canonical forms match but no isomorphism was found"
             )
         return FlipSearchResult(FlipSequence(steps, witness), None)
 
-    start_key = canonical_form(P)
+    start_key = canonical_rows(P.up)
     if start_key == target:
         return finish(P, ())
     visited = {start_key}
@@ -229,11 +218,11 @@ def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
     while frontier:
         next_frontier: list[tuple[Poset, tuple[int, ...]]] = []
         for state, steps in frontier:
-            for subset in autonomous_subsets(state, 2):
+            for subset in autonomous_subsets(state):
                 if _is_chain_or_antichain(state, subset):
                     continue
                 moved = flip(state, subset)
-                key = canonical_form(moved)
+                key = canonical_rows(moved.up)
                 if key in visited:
                     continue
                 visited.add(key)

@@ -13,10 +13,6 @@ class DomainError(Exception):
         return type(self).__name__
 
 
-class InternalError(DomainError):
-    """An internal invariant failed: a bug in this package, not bad input."""
-
-
 class MalformedInput(DomainError):
     """Input text or structure does not match the documented schema."""
 
@@ -61,7 +57,7 @@ class NotATubing(DomainError):
     """The given tube collection is not a proper tubing."""
 
 
-class StructureViolation(InternalError):
+class StructureViolation(DomainError):
     """Internal consistency check failed; indicates a bug, not bad input."""
 
 

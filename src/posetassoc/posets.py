@@ -176,16 +176,16 @@ class Poset:
         up = tuple(up)
         n = len(labels)
         if len(up) != n:
-            raise ValueError("relation rows do not match element count")
+            raise MalformedInput("relation rows do not match element count")
         if len(set(labels)) != n:
             raise DuplicateElement("element labels must be distinct")
         for i in range(n):
             if up[i] & (1 << i):
                 raise CyclicRelation(f"element {labels[i]!r} is below itself")
             if up[i] >> n:
-                raise ValueError("relation row references an element out of range")
+                raise MalformedInput("relation row references an element out of range")
         if not _is_transitive(up):
-            raise ValueError("relation is not transitively closed")
+            raise MalformedInput("relation is not transitively closed")
         self.labels = labels
         self.n = n
         self.up = up

@@ -124,13 +124,14 @@ class _TubeTable:
     gives a tube the next index and sets its bits against every tube added
     before it, in both directions.  ``find`` checks a mask by
     ``_tube_upset`` the first time it is met and adds it if it is a tube; a
-    non-tube is remembered as None.  ``bits`` is the one way from tube
-    masks to a bitset over the indices, and ``tubing`` the way back.
+    non-tube is not remembered, since every caller stops at the first one.
+    ``bits`` is the one way from tube masks to a bitset over the indices,
+    and ``tubing`` the way back.
     """
 
     def __init__(self, P: Poset):
         self.poset = P
-        self.index_of: dict[int, int | None] = {}
+        self.index_of: dict[int, int] = {}
         self.tubes: list[int] = []
         self.upsets: list[int] = []
         self.compat: list[int] = []
@@ -143,10 +144,7 @@ class _TubeTable:
         except KeyError:
             pass
         above = _tube_upset(self.poset, mask)
-        if above is None:
-            self.index_of[mask] = None
-            return None
-        return self._add(mask, above)
+        return None if above is None else self._add(mask, above)
 
     def bits(self, masks: Iterable[int]) -> int | None:
         """The tube masks as a bitset over the table's indices.

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import strategies as st
 
 from posetassoc import (FlipSearchResult, FlipSequence, Poset, StructureViolation, as_mask,
-                        autonomous_subsets, canonical_form, comparability_graph, connected_posets,
-                        enumerate_tubings, f_vector, flip, flip_tubings, graphs_isomorphic,
-                        is_proper_tube, mask_members, poset_isomorphism)
+                        autonomous_subsets, canonical_rows, comparability_graph, connected_posets,
+                        enumerate_tubings, f_vector, find_isomorphism, flip, flip_tubings,
+                        is_proper_tube, mask_members)
 from posetassoc.comparability import GRAPHS_DIFFER
 from posetassoc.isomorphism import _adjacency, _refine
 from posetassoc.posets import iter_bits
@@ -233,17 +233,17 @@ def exhaustive_flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
     Every autonomous subset with at least two elements is flipped and keyed
     by its canonical form, whatever its suborder.
     """
-    if graphs_isomorphic(comparability_graph(P), comparability_graph(P2)) is None:
+    if find_isomorphism(comparability_graph(P), comparability_graph(P2)) is None:
         return FlipSearchResult(None, GRAPHS_DIFFER)
-    target = canonical_form(P2)
+    target = canonical_rows(P2.up)
 
     def finish(final: Poset, steps: tuple[int, ...]) -> FlipSearchResult:
-        witness = poset_isomorphism(final, P2)
+        witness = find_isomorphism(final.up, P2.up)
         if witness is None:
             raise StructureViolation("canonical forms match but no isomorphism was found")
         return FlipSearchResult(FlipSequence(steps, witness), None)
 
-    start_key = canonical_form(P)
+    start_key = canonical_rows(P.up)
     if start_key == target:
         return finish(P, ())
     visited = {start_key}
@@ -251,9 +251,9 @@ def exhaustive_flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
     while frontier:
         next_frontier: list[tuple[Poset, tuple[int, ...]]] = []
         for state, steps in frontier:
-            for subset in autonomous_subsets(state, 2):
+            for subset in autonomous_subsets(state):
                 moved = flip(state, subset)
-                key = canonical_form(moved)
+                key = canonical_rows(moved.up)
                 if key in visited:
                     continue
                 visited.add(key)
@@ -274,7 +274,7 @@ def mask_check_invariance(P: Poset) -> dict:
     base_f = f_vector(P)
     tubings = list(enumerate_tubings(P))
     results = []
-    for subset in autonomous_subsets(P, 2):
+    for subset in autonomous_subsets(P):
         flipped = flip(P, subset)
         back = flip_tubings(flipped, subset, flip_tubings(P, subset, tubings))
         results.append({

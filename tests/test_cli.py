@@ -820,7 +820,7 @@ class TestFlipOutputPin:
             source = poset_file(P)
             for tubing in (frozenset(), maximal_tubings(P)[0]):
                 tubes = tubing_file(tubing_to_labels(P, tubing))
-                for subset in autonomous_subsets(P, 2):
+                for subset in autonomous_subsets(P):
                     code, out = invoke(
                         capsys, "flip-map", source,
                         "--subset", ",".join(P.labels_of(subset)), "--tubing", tubes,
@@ -883,10 +883,15 @@ class TestInternalError:
         assert code == 3 and data["error"] == "StructureViolation"
 
     def test_only_bugs_are_internal(self):
-        from posetassoc import DomainError, InternalError, StructureViolation
+        import posetassoc
+        from posetassoc import DomainError, StructureViolation, errors
 
-        assert issubclass(InternalError, DomainError)
-        assert issubclass(StructureViolation, InternalError)
+        # exit code 3 is keyed on StructureViolation alone: no other class
+        # derives from it, and no separate base for internal errors exists
+        assert issubclass(StructureViolation, DomainError)
+        assert not hasattr(posetassoc, "InternalError")
+        assert [c for c in vars(errors).values()
+                if isinstance(c, type) and issubclass(c, StructureViolation)] == [StructureViolation]
 
 
 def mostly(draw) -> bool:

@@ -14,18 +14,17 @@ from posetassoc import (
     all_posets,
     antichain,
     autonomous_subsets,
-    canonical_form,
+    canonical_rows,
     chain,
     comparability_graph,
     complete_graded,
     connected_posets,
     dual,
+    find_isomorphism,
     flip_sequence,
-    graphs_isomorphic,
-    poset_isomorphism,
 )
 from posetassoc import comparability, isomorphism
-from posetassoc.comparability import GRAPHS_DIFFER, FlipSequence, canonical_rows
+from posetassoc.comparability import GRAPHS_DIFFER, FlipSequence
 from posetassoc.posets import Poset, mask_members
 
 from conftest import corpus, exhaustive_flip_sequence, oracle_autonomous, refine, replay_flips
@@ -42,30 +41,30 @@ class TestComparabilityGraph:
         base = comparability_graph(complete_graded((1, 2, 2)))
         for perm in itertools.permutations((1, 2, 2)):
             other = comparability_graph(complete_graded(perm))
-            assert graphs_isomorphic(base, other) is not None
+            assert find_isomorphism(base, other) is not None
 
 
 class TestGraphsIsomorphic:
     def test_self(self):
         G = comparability_graph(chain(4))
-        witness = graphs_isomorphic(G, G)
+        witness = find_isomorphism(G, G)
         assert witness is not None
 
     def test_triangle_vs_path(self):
         triangle = comparability_graph(chain(3))
         path = (0b010, 0b101, 0b010)
-        assert graphs_isomorphic(triangle, path) is None
+        assert find_isomorphism(triangle, path) is None
 
     def test_complete_tripartite_pair(self):
         a = comparability_graph(complete_graded((1, 2, 2)))
         b = comparability_graph(complete_graded((2, 2, 1)))
-        witness = graphs_isomorphic(a, b)
+        witness = find_isomorphism(a, b)
         assert witness is not None
 
     def test_witness_preserves_edges_exactly(self):
         a = comparability_graph(complete_graded((1, 2, 2)))
         b = comparability_graph(complete_graded((2, 1, 2)))
-        witness = graphs_isomorphic(a, b)
+        witness = find_isomorphism(a, b)
         assert witness is not None
         mapped = [0] * len(a)
         for i, row in enumerate(a):
@@ -76,10 +75,10 @@ class TestGraphsIsomorphic:
     def test_deterministic(self):
         a = comparability_graph(complete_graded((2, 2)))
         b = comparability_graph(complete_graded((2, 2)))
-        assert graphs_isomorphic(a, b) == graphs_isomorphic(a, b)
+        assert find_isomorphism(a, b) == find_isomorphism(a, b)
 
     def test_size_mismatch(self):
-        assert graphs_isomorphic(
+        assert find_isomorphism(
             comparability_graph(chain(2)), comparability_graph(chain(3))
         ) is None
 
@@ -107,27 +106,27 @@ class TestRefine:
 
 class TestAutonomousSubsets:
     def test_chain_intervals(self):
-        subsets = autonomous_subsets(chain(3), 2)
+        subsets = autonomous_subsets(chain(3))
         assert [mask_members(s) for s in subsets] == [(0, 1), (1, 2), (0, 1, 2)]
 
     def test_antichain_everything(self):
-        subsets = autonomous_subsets(antichain(3), 2)
+        subsets = autonomous_subsets(antichain(3))
         assert len(subsets) == 4  # three pairs and the full set
 
     def test_graded_two_two(self):
         P = complete_graded((2, 2))
-        subsets = {mask_members(s) for s in autonomous_subsets(P, 2)}
+        subsets = {mask_members(s) for s in autonomous_subsets(P)}
         assert subsets == {(0, 1), (2, 3), (0, 1, 2, 3)}
 
-    def test_includes_full_set_and_singletons(self):
+    def test_includes_full_set_and_no_singletons(self):
         P = chain(3)
-        subsets = autonomous_subsets(P, 1)
+        subsets = autonomous_subsets(P)
         assert P.full_mask in subsets
-        assert all((1 << i) in subsets for i in range(P.n))
+        assert all(s.bit_count() >= 2 for s in subsets)
 
     def test_sorted_by_size_then_members(self):
         for P in corpus(4):
-            subsets = autonomous_subsets(P, 1)
+            subsets = [*(1 << i for i in range(P.n)), *autonomous_subsets(P)]
             keys = [(s.bit_count(), mask_members(s)) for s in subsets]
             assert keys == sorted(keys)
 
@@ -140,7 +139,7 @@ class TestAutonomousSubsets:
                 for combo in it.combinations(range(P.n), size):
                     if oracle_autonomous(P, frozenset(combo)):
                         expected.add(combo)
-            got = {mask_members(s) for s in autonomous_subsets(P, 2)}
+            got = {mask_members(s) for s in autonomous_subsets(P)}
             assert got == expected
 
 
@@ -162,7 +161,7 @@ class TestCatalog:
             catalog(-1)
 
     def test_pairwise_nonisomorphic(self):
-        forms = [canonical_form(P) for P in all_posets(4)]
+        forms = [canonical_rows(P.up) for P in all_posets(4)]
         assert len(set(forms)) == len(forms)
 
     def test_canonical_form_invariant_under_relabeling(self):
@@ -172,11 +171,11 @@ class TestCatalog:
                 for i, j in P.relation_pairs():
                     rows[perm[i]] |= 1 << perm[j]
                 shuffled = Poset([f"v{i}" for i in range(P.n)], rows)
-                assert canonical_form(shuffled) == canonical_form(P)
+                assert canonical_rows(shuffled.up) == canonical_rows(P.up)
 
     def test_canonical_form_separates(self):
         vee = Poset(["a", "b", "c"], [0b110, 0, 0])
-        assert canonical_form(vee) != canonical_form(chain(3))
+        assert canonical_rows(vee.up) != canonical_rows(chain(3).up)
 
     def test_catalog_order_and_numbering_are_pinned(self):
         # The exact representatives and their order, not just the classes:
@@ -238,7 +237,7 @@ class TestFlipSequence:
             result = flip_sequence(P, Q)
             assert result.found
             final = replay_flips(P, result.sequence.steps)
-            assert canonical_form(final) == canonical_form(Q)
+            assert canonical_rows(final.up) == canonical_rows(Q.up)
             witness = result.sequence.witness
             for i, j in final.relation_pairs():
                 assert Q.less(witness[i], witness[j])
@@ -255,7 +254,7 @@ class TestFlipSequence:
                 result = flip_sequence(P, Q)
                 assert result.found
                 final = replay_flips(P, result.sequence.steps)
-                assert poset_isomorphism(final, Q) is not None
+                assert find_isomorphism(final.up, Q.up) is not None
 
     def test_skipped_flips_change_no_answer(self):
         # every ordered pair of each comparability class of connected posets

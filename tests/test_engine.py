@@ -112,7 +112,7 @@ class TestRandomAgainstSlowPath:
               suppress_health_check=[HealthCheck.filter_too_much])
     @given(connected_posets_7_to_9())
     def test_flip_map_bijection(self, P):
-        subsets = autonomous_subsets(P, 2)
+        subsets = autonomous_subsets(P)
         budget = 10_000 // len(subsets)
         tubings = list(islice(enumerate_tubings(P), budget + 1))
         assume(len(tubings) <= budget)

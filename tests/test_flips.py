@@ -119,7 +119,7 @@ class TestClassify:
     def test_partition_is_exhaustive(self, connected_upto_5):
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))
-            for S in autonomous_subsets(P, 2):
+            for S in autonomous_subsets(P):
                 for T in tubings:
                     good, lower, upper = oracle_classify(P, S, T)
                     bad = frozenset(lower + upper)
@@ -173,7 +173,7 @@ class TestDecompose:
     def test_blocks_partition_subset_and_increase(self, connected_upto_5):
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))
-            for S in autonomous_subsets(P, 2):
+            for S in autonomous_subsets(P):
                 for T in tubings:
                     dec = decompose(P, S, T)
                     union = 0
@@ -210,7 +210,7 @@ class TestReconstruct:
         # blocks of its source, as flip-map prints it
         for P in connected_upto_5:
             tubings = list(enumerate_tubings(P))
-            for S in autonomous_subsets(P, 2):
+            for S in autonomous_subsets(P):
                 flipped = flip(P, S)
                 for T, image in zip(tubings, flip_tubings(P, S, tubings), strict=True):
                     dec = decompose(P, S, T)
@@ -301,7 +301,7 @@ class TestFlipTubing:
         # the full size-5 sweep runs in the acceptance suite
         for P in connected_upto_4:
             tubings = list(enumerate_tubings(P))
-            for S in autonomous_subsets(P, 2):
+            for S in autonomous_subsets(P):
                 flipped = flip(P, S)
                 images = set()
                 for T in tubings:
@@ -316,7 +316,7 @@ class TestFlipTubing:
     def test_f_vector_preserved(self, connected_upto_5):
         for P in connected_upto_5:
             f = f_vector(P)
-            for S in autonomous_subsets(P, 2):
+            for S in autonomous_subsets(P):
                 assert f_vector(flip(P, S)) == f
 
     def test_not_autonomous(self):
@@ -365,7 +365,7 @@ def _outcomes(images):
 
 def _assert_matches_oracle(P, tubings):
     proper = [listwise_is_tubing(P, list(T)) for T in tubings]
-    for S in autonomous_subsets(P, 2):
+    for S in autonomous_subsets(P):
         flipped = flip(P, S)
         fast = _outcomes(flip_tubings(P, S, tubings))
         slow = _outcomes(_oracle_flip(P, S, flipped, T, ok) for T, ok in zip(tubings, proper))
@@ -429,21 +429,20 @@ class TestChecksStayLiveWithWarmMemo:
 
     def test_remembered_non_tube_is_refused_again(self):
         # flip_tubings stops at the first improper tubing, so the repeat of
-        # a remembered non-tube goes through the table's bits directly
+        # a non-tube goes through the table's bits directly
         P = chain(4)
         non_tube = P.mask_of(["a", "c"])  # not convex
         holder = P.mask_of(["a", "b", "c"])
         table = _TubeTable(P)
         assert table.bits([non_tube]) is None
-        assert table.index_of[non_tube] is None
-        # remembered: refused again, and still not given an index
+        # refused again, and never given an index
         assert table.bits([non_tube]) is None
-        assert table.index_of[non_tube] is None
+        assert non_tube not in table.index_of
         assert _proper_indices(iter_bits(table.bits([holder])), table)
         assert table.bits([holder, holder]) is None
         assert table.bits([holder, non_tube]) is None
         assert table.bits([P.full_mask]) is None
-        assert table.index_of[P.full_mask] is None
+        assert P.full_mask not in table.index_of
         assert table.bits([holder, P.full_mask]) is None
 
     def test_bad_kind_raises_every_time(self):
@@ -497,7 +496,7 @@ class TestChecksStayLiveWithWarmMemo:
         tubings = list(enumerate_tubings(P))
         tubes = [next(iter(T)) for T in tubings if len(T) == 1]
         cases = 0
-        for S in autonomous_subsets(P, 2):
+        for S in autonomous_subsets(P):
             good = [t for t in tubes if oracle_classify(P, S, [t])[0]]
             for T in tubings:
                 if not bad_tubes(P, S, T):
@@ -518,7 +517,7 @@ class TestChecksStayLiveWithWarmMemo:
         P = complete_graded((1, 2, 2))
         tubings = list(enumerate_tubings(P))
         pairs = {}
-        for S in autonomous_subsets(P, 2):
+        for S in autonomous_subsets(P):
             pairs[S] = set()
             for T in tubings:
                 _, lower, upper = oracle_classify(P, S, T)
@@ -537,7 +536,7 @@ class TestChecksStayLiveWithWarmMemo:
 
         monkeypatch.setattr(flips, "_proper_indices", count_check)
         monkeypatch.setattr(flips, "_decompose", count_decompose)
-        for S in autonomous_subsets(P, 2):
+        for S in autonomous_subsets(P):
             checked.clear()
             decomposed.clear()
             images = list(flip_tubings(P, S, tubings))
@@ -554,7 +553,7 @@ class TestChecksStayLiveWithWarmMemo:
         # unchecked; each leg checks the images it builds
         P = complete_graded((1, 2, 2))
         walk = list(TubeComplex(P).walk())
-        subsets = autonomous_subsets(P, 2)
+        subsets = autonomous_subsets(P)
         checked = []
         real_check = flips._proper_indices
 
