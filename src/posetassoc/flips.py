@@ -23,10 +23,9 @@ chains, the decomposition, the image size and the image, so a broken
 assumption fails loudly, as `StructureViolation`, instead of producing a
 silently wrong tubing.  The tubing checks run the package's one
 proper-tubing loop, `tubings._proper_indices`, on the tube indices as they
-are; its other callers are `tubings.is_proper_tubing`, for tube masks, and
-the vertex check of `lattice.polytopes_equivalent`.  The engine turns tube
-masks into indices, the rebuilt bad tubes and each new good tube of an
-image, only through `_TubeTable.bits`.  What the engine does once per call
+are; its other caller is `tubings.is_proper_tubing`, for tube masks.  The
+engine turns tube masks into indices, the rebuilt bad tubes and each new
+good tube of an image, only through `_TubeTable.bits`.  What the engine does once per call
 rather than once per tubing is per-tube work (each tube's kind relative to
 the subset, and each good tube's index in the flipped poset's table) and
 per-chain-pair work: the bad tubes of the image depend only on the lower

@@ -1,9 +1,12 @@
 """Colour refinement and individualization–refinement search for digraphs.
 
-One engine serves comparability graphs and the facet graphs of polytopes
-(symmetric rows) and posets (directed rows).  ``_refine`` is the one
-colour refinement of the package: canonical forms in ``comparability`` call
-it on one graph, the isomorphism search on the disjoint union of two.
+One engine serves comparability graphs (symmetric rows), posets (directed
+rows) and polytopes: ``lattice.polytopes_equivalent`` runs it on each facet
+graph with a sink added per minimal non-face of 3 or more facets, joined
+by one-way arcs from its facets, which is symmetric when there are none.
+``_refine`` is the one colour refinement of the package: canonical forms
+in ``comparability`` call it on one graph, the isomorphism search on the
+disjoint union of two.
 ``_isomorphisms`` is the individualization–refinement scheme of McKay and
 Piperno ("Practical graph isomorphism, II", J. Symb. Comput. 2014): it
 gives one vertex of each graph a fresh colour and refines again after every

@@ -1,16 +1,18 @@
 """Combinatorial equivalence, 2-faces and face products of poset associahedra.
 
 A polytope is represented here by its tube table: the tubes are the
-facets and the maximal tubings, bitsets over the tubes, the vertices; the
+facets, and the proper tubings, bitsets over the tubes, the faces; the
 permutohedron on n letters is A(graded(1, n - 1, 1)).
 ``polytopes_equivalent`` compares f-vectors from the facet recursion
-first.  Only when they agree does it read both facet graphs off the tube
-tables, exactly: two facets of a simple polytope share a vertex when they
-meet, and two tubes meet when they form a proper tubing.  It then walks
-the first polytope's vertices and searches for a facet-graph isomorphism
-that sends each of them to a proper tubing of the second.
-``two_face_census`` counts the polygons by their vertices with the facet
-recursion of ``f_vector``, without the tubings.
+first.  Only when they agree does it read each polytope's minimal
+non-faces off its tube table: the pairs of tubes that do not meet, which
+are the non-edges of the facet graph, and the induced directed cycles of
+the tube digraph among tubes that meet pairwise.  A simplicial complex is
+fixed by its vertices and its minimal non-faces, so one isomorphism
+search on the facet graphs, each with a sink per longer non-face,
+decides, and no tubing is walked.  ``two_face_census`` counts the
+polygons by their vertices with the facet recursion of ``f_vector``,
+without the tubings.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import MalformedInput, NotATubing, TooSmall
 from .isomorphism import _isomorphisms
 from .posets import (Poset, _contract_rows, _transpose, as_mask, complete_graded, iter_bits,
                      mask_members)
-from .tubings import TubeComplex, _face_stats, _proper_indices, _require_usable, is_proper_tubing
+from .tubings import TubeComplex, _face_stats, _require_usable, is_proper_tubing
 
 
 def _stirling2(n: int, k: int) -> int:
@@ -59,19 +61,69 @@ def _facet_graph(cx: TubeComplex) -> list[int]:
     return [row & ~(out & back) for row, out, back in zip(cx.compat, cx.edges, into)]
 
 
+def _meeting_cycles(cx: TubeComplex, rows: list[int]) -> list[int]:
+    """The minimal non-faces with 3 or more tubes, as bitsets over tube indices.
+
+    Such a set is pairwise meeting and not a tubing, so its tube digraph has
+    a cycle, and each proper subset is a tubing, so that cycle passes
+    through every tube and has no chord: the set is an induced directed
+    cycle among pairwise-meeting tubes, and every such cycle is one.  Each
+    is found once, by a depth-first search from its lowest tube that steps
+    along digraph edges to higher tubes that meet every tube on the path
+    and are joined by an edge to none of it but the last; a step to a tube
+    with an edge back to the first closes a cycle.  ``rows`` is
+    ``_facet_graph(cx)``.
+    """
+    edges = cx.edges
+    into = _transpose(edges)
+    cycles = []
+    for first, row in enumerate(rows):
+        # (last tube, path, tubes meeting the whole path, tubes joined to its
+        # first tube by an edge from it or to an interior tube)
+        stack = [(first, 1 << first, row & (-2 << first), 0)]
+        while stack:
+            last, path, meet, joined = stack.pop()
+            joined_next = joined | edges[last] | (into[last] if last != first else 0)
+            for k in iter_bits(edges[last] & meet & ~joined):
+                if edges[k] >> first & 1:
+                    cycles.append(path | 1 << k)
+                else:
+                    stack.append((k, path | 1 << k, meet & rows[k], joined_next))
+    return cycles
+
+
+def _incidence_rows(cx: TubeComplex) -> list[int]:
+    """The facet graph, with one sink per minimal non-face of 3 or more tubes.
+
+    Tube i keeps its facet-graph row and gains an arc to the sink of each
+    such non-face holding it; the sinks, numbered after the tubes, have no
+    arcs out.  A sink has in-degree 3 or more, and a tube with no arc out
+    has no arc in, so an isomorphism of two of these digraphs maps tubes to
+    tubes and carries the facet graph and the minimal non-faces across.
+    """
+    rows = _facet_graph(cx)
+    cycles = _meeting_cycles(cx, rows)
+    for c, cycle in enumerate(cycles, len(rows)):
+        for i in iter_bits(cycle):
+            rows[i] |= 1 << c
+    return rows + [0] * len(cycles)
+
+
 def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
     """Whether A(P) is combinatorially equivalent to A(other).
 
     ``other`` is a poset or, as an int n, the permutohedron on n letters,
     which is A(graded(1, n - 1, 1)).  The f-vectors are compared first; the
-    tubings of P are walked only when they agree and the dimension is
-    positive.  A simple polytope is fixed by its facets and the sets of them
-    that meet in a vertex, and poset associahedra are not flag, so a
-    facet-graph isomorphism is accepted only if it carries each vertex of P
-    to a proper tubing of ``other``.  One with ``dim`` tubes is a vertex,
-    the map is injective and the vertex counts are equal, so it carries the
-    vertices onto the vertices, and ``other``'s tubings are never walked.
-    Both f-vectors come from the facet recursion through one memo, so the
+    tube tables are read only when they agree and the dimension is
+    positive.  The faces of a simple polytope form the simplicial complex of
+    its facets that meet in a face, here the proper tubings on the tubes,
+    and a simplicial complex is fixed by its vertex set and its minimal
+    non-faces.  Those with 2 tubes are the non-edges of the facet graph.
+    Few poset associahedra are not flag, but some are, so those with 3 or
+    more tubes, induced directed cycles of the tube digraph
+    (``_meeting_cycles``), are added to each facet graph as sinks, and one
+    isomorphism search on the two digraphs decides.  No tubing of either polytope is walked.  Both
+    f-vectors come from the facet recursion through one memo, so the
     minors the two posets share, relabelled or not, are expanded once.
     ``other`` is checked first, so its ``TooSmall``, ``DisconnectedPoset``
     or ``MalformedInput`` comes before P's.
@@ -96,11 +148,7 @@ def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
     if len(f) == 1:
         return True
     a, b = TubeComplex(P), TubeComplex(other if is_poset else complete_graded((1, other - 1, 1)))
-    verts = a.vertices()
-    for mapping in _isomorphisms(_facet_graph(a), _facet_graph(b)):
-        if all(_proper_indices([mapping[i] for i in iter_bits(v)], b) for v in verts):
-            return True
-    return False
+    return next(_isomorphisms(_incidence_rows(a), _incidence_rows(b)), None) is not None
 
 
 def two_face_census(P: Poset) -> Counter[int]:

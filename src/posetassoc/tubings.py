@@ -11,10 +11,9 @@ indices, so a tubing is a bitset over tube indices too.  Tube masks
 become such a bitset only through ``_TubeTable.bits``, which fills the
 table lazily with the tubes that it meets.  One loop,
 ``_proper_indices``, checks that tube indices of a table form a proper
-tubing, and it has four callers: ``is_proper_tubing``, on the bits of
+tubing, and it has three callers: ``is_proper_tubing``, on the bits of
 tube masks in a per-call table; ``flips.flip_tubings``, for its inputs;
-the flip engine ``flips._flip_bits``, for the images it builds; and the
-vertex check of ``lattice.polytopes_equivalent``.
+and the flip engine ``flips._flip_bits``, for the images it builds.
 ``TubeComplex``, the engine of all tubing enumeration, is the table with
 every tube added.  Tubings are walked with an explicit stack of
 (chosen, candidates) bitsets; a candidate can only close a cycle through
@@ -249,8 +248,7 @@ class TubeComplex(_TubeTable):
     def vertices(self) -> list[int]:
         """The maximal tubings, with ``dim`` = |P| - 2 tubes each, as walked bitsets.
 
-        ``maximal_tubings`` reads them, and ``equiv`` those of the first of
-        its two polytopes only.
+        ``maximal_tubings`` reads them; ``equiv`` walks no tubing.
         """
         return [c for c in self.walk() if c.bit_count() == self.dim]
 

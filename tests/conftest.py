@@ -11,6 +11,7 @@ catalogs and on the hypothesis-drawn posets of ``connected_posets_7_to_9``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -20,13 +21,14 @@ import pytest
 from hypothesis import strategies as st
 
 from posetassoc import (FlipSearchResult, FlipSequence, Poset, StructureViolation, as_mask,
-                        autonomous_subsets, canonical_rows, comparability_graph, connected_posets,
-                        enumerate_tubings, f_vector, find_isomorphism, flip, flip_tubings,
-                        is_proper_tube, mask_members)
+                        autonomous_subsets, canonical_rows, comparability_graph, complete_graded,
+                        connected_posets, enumerate_tubings, f_vector, find_isomorphism, flip,
+                        flip_tubings, is_proper_tube, mask_members, permutohedron_f_vector)
 from posetassoc.comparability import GRAPHS_DIFFER
-from posetassoc.isomorphism import _adjacency, _refine
+from posetassoc.isomorphism import _adjacency, _isomorphisms, _refine
+from posetassoc.lattice import _facet_graph
 from posetassoc.posets import iter_bits
-from posetassoc.tubings import TubeComplex, _closes_cycle, _tube_upset
+from posetassoc.tubings import TubeComplex, _closes_cycle, _proper_indices, _tube_upset
 
 
 def corpus(max_n: int, min_n: int = 2) -> list[Poset]:
@@ -420,6 +422,37 @@ def walk_two_face_census(P: Poset) -> Counter[int]:
         for a, b in itertools.combinations(bits, 2):
             sizes[chosen ^ a ^ b] += 1
     return Counter(sizes.values())
+
+
+def walk_equivalent(P: Poset, other: Poset | int) -> bool:
+    """Combinatorial equivalence by walking P's vertices, the oracle of ``polytopes_equivalent``.
+
+    ``other`` is a poset or, as an int n, the permutohedron on n letters.
+    With equal f-vectors, a facet-graph isomorphism is accepted only if it
+    carries each vertex of P to a proper tubing of ``other``: one with
+    ``dim`` tubes is a vertex, the map is injective and the vertex counts
+    are equal, so it carries the vertices onto the vertices, and a simple
+    polytope is fixed by its facets and the sets of them that meet in a
+    vertex.  Each poset's f-vector, tube table and vertices are kept for
+    the next call.
+    """
+    is_poset = isinstance(other, Poset)
+    f, a, verts = _walked(P)
+    if f != (_walked(other)[0] if is_poset else permutohedron_f_vector(other)):
+        return False
+    if len(f) == 1:
+        return True
+    b = _walked(other if is_poset else complete_graded((1, other - 1, 1)))[1]
+    return any(
+        all(_proper_indices([mapping[i] for i in iter_bits(v)], b) for v in verts)
+        for mapping in _isomorphisms(_facet_graph(a), _facet_graph(b))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _walked(P: Poset) -> tuple[tuple[int, ...], TubeComplex, list[int]]:
+    cx = TubeComplex(P)
+    return f_vector(P), cx, cx.vertices()
 
 
 def scan_face_vertices(P: Poset) -> list[tuple[int, tuple[int, ...], frozenset[int]]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 from functools import lru_cache
 from hashlib import sha256
@@ -23,6 +24,7 @@ from posetassoc import (
     chain,
     complete_graded,
     connected_posets,
+    dual,
     enumerate_tubings,
     f_vector,
     face_product_decomposition,
@@ -39,7 +41,8 @@ from posetassoc.posets import _contract_rows, iter_bits
 from posetassoc.tubings import TubeComplex, is_proper_tubing
 
 from conftest import (corpus, expanded_permutohedron, incidence_digraph, oracle_classify,
-                      oracle_incidence, scan_face_vertices, seeded_poset, walk_two_face_census)
+                      oracle_incidence, relabelled, scan_face_vertices, seeded_poset,
+                      walk_equivalent, walk_two_face_census)
 
 
 def stirling2_by_inclusion_exclusion(n: int, k: int) -> int:
@@ -56,6 +59,13 @@ def rank_counts(faces) -> tuple[int, ...]:
 def claw(n: int) -> Poset:
     """graded(1, n - 1, 1) with a zero part dropped: A(claw(n)) is the permutohedron."""
     return complete_graded(tuple(p for p in (1, n - 1, 1) if p))
+
+
+def crown(k: int) -> Poset:
+    """Crown S_k: minimum a_i lies below every maximum b_j except b_i."""
+    tops = ((1 << k) - 1) << k
+    return Poset([f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)],
+                 [tops & ~(1 << (k + i)) for i in range(k)] + [0] * k)
 
 
 def phi(n: int, tube: int) -> int:
@@ -299,63 +309,131 @@ class TestPolytopesEquivalent:
             k = phi(n, tube).bit_count()
             assert sum(v >> f & 1 for v in verts) == math.factorial(k) * math.factorial(n - k)
 
-    def test_every_leaf_is_tried(self, monkeypatch):
-        # No catalog pair reaches a facet-graph isomorphism that fails the
-        # vertex check, so one is made: one maximal tubing of the second
-        # truncated octahedron is refused as a tubing.  Every facet-graph
-        # automorphism carries some vertex onto it, so all 48 are tried and
-        # each fails; a search that stopped at its first leaf would try one.
-        # The two facet graphs have equal rows, so the identity comes first,
-        # and the search after it must not yield it again.
-        leaves = []
-        real_isomorphisms = lattice._isomorphisms
-
-        def counted(*graphs):
-            for mapping in real_isomorphisms(*graphs):
-                leaves.append(mapping)
-                yield mapping
-
-        monkeypatch.setattr(lattice, "_isomorphisms", counted)
-        assert polytopes_equivalent(claw(4), 4)
-        assert len(leaves) == 1
-        cx = TubeComplex(claw(4))
-        refused = cx.tubing(cx.vertices()[-1])
-        real_proper_indices = lattice._proper_indices
-
-        def refuse_one(indices, table):
-            indices = list(indices)
-            tubes = frozenset(table.tubes[k] for k in indices)
-            return tubes != refused and real_proper_indices(indices, table)
-
-        monkeypatch.setattr(lattice, "_proper_indices", refuse_one)
-        leaves.clear()
-        assert not polytopes_equivalent(claw(4), 4)
-        assert len(leaves) == 48
-        assert leaves == sorted(set(leaves))
-        assert leaves[0] == tuple(range(len(leaves[0])))
-
     @pytest.mark.parametrize("P, other, want", [
         (claw(4), 4, True),
         (complete_graded((1, 2, 3)), complete_graded((2, 1, 3)), False),
     ], ids=["claw-4", "graded-1-2-3"])
-    def test_walks_one_polytope(self, monkeypatch, P, other, want):
-        # equal f-vectors, so P's vertices are walked; the other polytope's
-        # facet graph and vertices come from its tube table
-        walks = []
-        real_walk = TubeComplex.walk
+    def test_walks_no_tubing(self, monkeypatch, P, other, want):
+        # equal f-vectors, so both tube tables are read; neither is walked
+        def refused(cx):
+            raise AssertionError("polytopes_equivalent walked the tubings")
 
-        def counted(cx):
-            walks.append(cx)
-            return real_walk(cx)
-
-        monkeypatch.setattr(TubeComplex, "walk", counted)
+        monkeypatch.setattr(TubeComplex, "walk", refused)
         assert polytopes_equivalent(P, other) == want
-        assert len(walks) == 1
+
+    def test_a_dropped_non_face_is_seen(self, monkeypatch):
+        # No catalog pair with at most 7 elements has isomorphic facet graphs
+        # and different polytopes, so one is made: crown S_3 has two minimal
+        # non-faces of 3 tubes, and the second polytope loses one of them.
+        # Its facet graph is unchanged, so only the non-faces can tell the
+        # two apart.  Then one is moved instead, onto a triangle of the
+        # facet graph, which keeps both digraphs the same size.
+        P = crown(3)
+        found = []
+        real_cycles = lattice._meeting_cycles
+
+        def recorded(cx, rows):
+            found.append(real_cycles(cx, rows))
+            return found[-1]
+
+        monkeypatch.setattr(lattice, "_meeting_cycles", recorded)
+        assert polytopes_equivalent(P, P)
+        first, second = found
+        assert first == second and [c.bit_count() for c in first] == [3, 3]
+        cx = TubeComplex(P)
+        rows = _facet_graph(cx)
+        triangle = next(
+            1 << i | 1 << j | 1 << k
+            for i, row in enumerate(rows) for j in iter_bits(row & (-2 << i))
+            for k in iter_bits(row & rows[j] & (-2 << j))
+        )
+        assert triangle not in first
+        for changed in (first[:-1], [*first[:-1], triangle]):
+            calls = []
+
+            def changed_once(cx, rows, changed=changed):
+                calls.append(cx)
+                return changed if len(calls) == 2 else real_cycles(cx, rows)
+
+            monkeypatch.setattr(lattice, "_meeting_cycles", changed_once)
+            assert not polytopes_equivalent(P, P)
+            assert len(calls) == 2
 
     def test_zero_dimensional(self):
         assert polytopes_equivalent(chain(2), 1)
         assert polytopes_equivalent(chain(2), chain(2))
         assert not polytopes_equivalent(chain(3), 1)
+
+
+@lru_cache(maxsize=None)
+def catalog_cycles(n: int) -> list[tuple[Poset, list[int]]]:
+    """Each connected poset with n elements and its minimal non-faces of 3 or more tubes."""
+    found = []
+    for P in connected_posets(n):
+        cx = TubeComplex(P)
+        found.append((P, lattice._meeting_cycles(cx, _facet_graph(cx))))
+    return found
+
+
+def faces_without_a_cycle(rows: list[int], cycles: list[int]) -> int:
+    """The sets of pairwise-meeting tubes, the empty one included, that hold no cycle."""
+    count = 0
+    stack = [(0, (1 << len(rows)) - 1)]
+    while stack:
+        chosen, cand = stack.pop()
+        count += 1
+        for k in iter_bits(cand):
+            grown = chosen | 1 << k
+            if all(cycle & ~grown for cycle in cycles):
+                stack.append((grown, cand & rows[k] & (-2 << k)))
+    return count
+
+
+class TestAgainstTheWalk:
+    """``polytopes_equivalent`` against ``walk_equivalent``, the vertex walk it replaced."""
+
+    def test_equal_f_pairs_up_to_6_elements(self):
+        posets = corpus(6)
+        groups: dict[tuple[int, ...], list[Poset]] = {}
+        for P in posets:
+            groups.setdefault(f_vector(P), []).append(P)
+        pairs = [pair for members in groups.values()
+                 for pair in itertools.combinations(members, 2)]
+        pairs += [(P, P.n - 1) for P in posets if f_vector(P) == permutohedron_f_vector(P.n - 1)]
+        answers = Counter()
+        for P, other in pairs:
+            want = walk_equivalent(P, other)
+            assert polytopes_equivalent(P, other) == want, (P, other)
+            answers[want] += 1
+        assert answers == {True: 1954, False: 644}
+
+    def test_non_flag_7_element_posets(self):
+        rng = random.Random(31)
+        non_flag = [P for P, cycles in catalog_cycles(7) if cycles]
+        for P in non_flag:
+            for other in (dual(P), relabelled(P, rng)):
+                assert polytopes_equivalent(P, other) == walk_equivalent(P, other), (P, other)
+
+
+class TestMinimalNonFaces:
+    """The cycle search finds every minimal non-face of 3 or more tubes."""
+
+    def test_flag_counts(self):
+        non_flag = {n: [(P, cycles) for P, cycles in catalog_cycles(n) if cycles]
+                    for n in (5, 6, 7)}
+        assert {n: (len(found), len(catalog_cycles(n))) for n, found in non_flag.items()} == {
+            5: (0, 44), 6: (1, 238), 7: (15, 1650)}
+        [(P, _)] = non_flag[6]
+        assert canonical_rows(P.up) == canonical_rows(crown(3).up)
+        assert {cycle.bit_count() for _, cycles in non_flag[7] for cycle in cycles} == {3}
+
+    def test_faces_are_the_meeting_sets_without_a_cycle(self):
+        # a search that missed a cycle on both sides alike would still pass
+        # the differential tests; here each missed cycle adds a face
+        for n in range(2, 7):
+            for P, cycles in catalog_cycles(n):
+                rows = _facet_graph(TubeComplex(P))
+                assert faces_without_a_cycle(rows, cycles) == sum(f_vector(P)), P
 
 
 class TestPolygonCensus:
