@@ -173,12 +173,18 @@ class FlipSequence:
 
 @dataclass(frozen=True)
 class FlipSearchResult:
+    """A flip sequence, or None when the comparability graphs differ, the
+    search's only empty answer; ``reason`` is read off the sequence."""
+
     sequence: FlipSequence | None
-    reason: str | None
 
     @property
     def found(self) -> bool:
         return self.sequence is not None
+
+    @property
+    def reason(self) -> str | None:
+        return None if self.found else GRAPHS_DIFFER
 
 
 def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
@@ -199,7 +205,7 @@ def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
     all 2^n masks for its autonomous subsets, so the CLI guards the size.
     """
     if find_isomorphism(comparability_graph(P), comparability_graph(P2)) is None:
-        return FlipSearchResult(None, GRAPHS_DIFFER)
+        return FlipSearchResult(None)
     target = canonical_rows(P2.up)
 
     def finish(final: Poset, steps: tuple[int, ...]) -> FlipSearchResult:
@@ -208,7 +214,7 @@ def flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
             raise StructureViolation(
                 "canonical forms match but no isomorphism was found"
             )
-        return FlipSearchResult(FlipSequence(steps, witness), None)
+        return FlipSearchResult(FlipSequence(steps, witness))
 
     start_key = canonical_rows(P.up)
     if start_key == target:

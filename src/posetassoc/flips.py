@@ -67,9 +67,6 @@ class DecoratedSequence:
     def star_count(self) -> int:
         return sum(self.starred)
 
-    def __len__(self) -> int:
-        return len(self.sets)
-
 
 @dataclass(frozen=True)
 class Decomposition:

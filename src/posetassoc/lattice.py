@@ -22,7 +22,7 @@ from collections import Counter
 from typing import Iterable
 
 from .errors import MalformedInput, NotATubing, TooSmall
-from .isomorphism import _isomorphisms
+from .isomorphism import find_isomorphism
 from .posets import (Poset, _contract_rows, _transpose, as_mask, complete_graded, iter_bits,
                      mask_members)
 from .tubings import TubeComplex, _face_stats, _require_usable, is_proper_tubing
@@ -148,7 +148,7 @@ def polytopes_equivalent(P: Poset, other: Poset | int) -> bool:
     if len(f) == 1:
         return True
     a, b = TubeComplex(P), TubeComplex(other if is_poset else complete_graded((1, other - 1, 1)))
-    return next(_isomorphisms(_incidence_rows(a), _incidence_rows(b)), None) is not None
+    return find_isomorphism(_incidence_rows(a), _incidence_rows(b)) is not None
 
 
 def two_face_census(P: Poset) -> Counter[int]:
@@ -175,8 +175,10 @@ def face_product_decomposition(P: Poset, tubing: Iterable[int]) -> list[Poset]:
     For each tube (and the whole poset), contract its maximal proper
     subtubes in the tubing; factors that collapse to a point are dropped.
     A contracted element is labelled by its members' sorted labels joined
-    with "+".
+    with "+".  A disconnected P, or one with fewer than two elements, has
+    no associahedron and is refused first.
     """
+    _require_usable(P)
     tubes = frozenset(as_mask(t) for t in tubing)
     if not is_proper_tubing(P, tubes):
         raise NotATubing("input is not a proper tubing")

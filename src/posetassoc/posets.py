@@ -216,9 +216,6 @@ class Poset:
     def less(self, i: int, j: int) -> bool:
         return bool(self.up[i] & (1 << j))
 
-    def comparable(self, i: int, j: int) -> bool:
-        return i != j and bool((self.up[i] | self.down[i]) & (1 << j))
-
     def index(self, label: str) -> int:
         try:
             return self._label_index[label]
@@ -257,26 +254,12 @@ class Poset:
             return True
         return _reach(self.hasse_adj, 1, self.full_mask) == self.full_mask
 
-    def relation_pairs(self) -> tuple[tuple[int, int], ...]:
-        """All (i, j) with i strictly below j."""
-        return tuple(
-            (i, j) for i in range(self.n) for j in iter_bits(self.up[i])
-        )
-
     def labels_of(self, mask: int) -> tuple[str, ...]:
         """Labels of a mask's members; a mask outside the poset raises ElementNotFound."""
         return tuple(self.labels[i] for i in iter_bits(_require_inside(self, mask)))
 
     def mask_of(self, labels: Iterable[str]) -> int:
         return as_mask(self.index(lab) for lab in labels)
-
-    def restrict(self, subset: int | Iterable[int]) -> "Poset":
-        """Induced subposet on a subset, keeping label and index order.
-
-        A subset naming an element outside the poset raises ElementNotFound.
-        """
-        kept = _require_inside(self, as_mask(subset))
-        return Poset(self.labels_of(kept), _restrict_rows(self.up, kept))
 
     # -- serialization ---------------------------------------------------
 
@@ -286,9 +269,6 @@ class Poset:
             "elements": list(self.labels),
             "relations": [[self.labels[i], self.labels[j]] for i, j in self.covers],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     # -- plumbing --------------------------------------------------------
 

@@ -24,7 +24,6 @@ from posetassoc import (FlipSearchResult, FlipSequence, Poset, StructureViolatio
                         autonomous_subsets, canonical_rows, comparability_graph, complete_graded,
                         connected_posets, enumerate_tubings, f_vector, find_isomorphism, flip,
                         flip_tubings, is_proper_tube, mask_members, permutohedron_f_vector)
-from posetassoc.comparability import GRAPHS_DIFFER
 from posetassoc.isomorphism import _adjacency, _isomorphisms, _refine
 from posetassoc.lattice import _facet_graph
 from posetassoc.posets import iter_bits
@@ -83,6 +82,11 @@ def seeded_poset(seed: int, n: int) -> Poset:
     extra = [(a, b) for a in range(n) for b in range(n)
              if rank[a] < rank[b] and rng.randrange(6) == 0]
     return Poset.from_relations(base.labels, tree + extra)
+
+
+def relation_pairs(P: Poset) -> list[tuple[int, int]]:
+    """Every (i, j) with i strictly below j, read off the up-rows."""
+    return [(i, j) for i in range(P.n) for j in iter_bits(P.up[i])]
 
 
 def relabelled(P: Poset, rng: random.Random) -> Poset:
@@ -236,14 +240,14 @@ def exhaustive_flip_sequence(P: Poset, P2: Poset) -> FlipSearchResult:
     by its canonical form, whatever its suborder.
     """
     if find_isomorphism(comparability_graph(P), comparability_graph(P2)) is None:
-        return FlipSearchResult(None, GRAPHS_DIFFER)
+        return FlipSearchResult(None)
     target = canonical_rows(P2.up)
 
     def finish(final: Poset, steps: tuple[int, ...]) -> FlipSearchResult:
         witness = find_isomorphism(final.up, P2.up)
         if witness is None:
             raise StructureViolation("canonical forms match but no isomorphism was found")
-        return FlipSearchResult(FlipSequence(steps, witness), None)
+        return FlipSearchResult(FlipSequence(steps, witness))
 
     start_key = canonical_rows(P.up)
     if start_key == target:

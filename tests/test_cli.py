@@ -37,7 +37,7 @@ def invoke_json(capsys, *argv):
 def poset_file(tmp_path):
     def write(P, name="poset.json"):
         path = tmp_path / name
-        path.write_text(P.to_json(), encoding="utf-8")
+        path.write_text(json.dumps(P.to_dict()), encoding="utf-8")
         return str(path)
 
     return write
@@ -872,7 +872,7 @@ class TestInternalError:
 
         def drop_stars(subset, chain):
             seq, absorbed = real_decorate(subset, chain)
-            return DecoratedSequence(seq.sets, (False,) * len(seq)), absorbed
+            return DecoratedSequence(seq.sets, (False,) * len(seq.sets)), absorbed
 
         monkeypatch.setattr(flips, "_decorate", drop_stars)
         argv = ["check-invariance", "graded:1,2,2"]

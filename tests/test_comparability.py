@@ -27,7 +27,8 @@ from posetassoc import comparability, isomorphism
 from posetassoc.comparability import GRAPHS_DIFFER, FlipSequence
 from posetassoc.posets import Poset, mask_members
 
-from conftest import corpus, exhaustive_flip_sequence, oracle_autonomous, refine, replay_flips
+from conftest import (corpus, exhaustive_flip_sequence, oracle_autonomous, refine, relation_pairs,
+                      replay_flips)
 
 
 class TestComparabilityGraph:
@@ -97,7 +98,7 @@ class TestRefine:
             n = P.n
             perm = list(reversed(range(n)))
             rows = [0] * n
-            for i, j in P.relation_pairs():
+            for i, j in relation_pairs(P):
                 rows[perm[i]] |= 1 << perm[j]
             colors = refine(list(P.up) + [r << n for r in rows], [0] * (2 * n))
             assert [colors[n + perm[i]] for i in range(n)] == colors[:n]
@@ -168,7 +169,7 @@ class TestCatalog:
         for P in connected_posets(4):
             for perm in itertools.permutations(range(P.n)):
                 rows = [0] * P.n
-                for i, j in P.relation_pairs():
+                for i, j in relation_pairs(P):
                     rows[perm[i]] |= 1 << perm[j]
                 shuffled = Poset([f"v{i}" for i in range(P.n)], rows)
                 assert canonical_rows(shuffled.up) == canonical_rows(P.up)
@@ -239,7 +240,7 @@ class TestFlipSequence:
             final = replay_flips(P, result.sequence.steps)
             assert canonical_rows(final.up) == canonical_rows(Q.up)
             witness = result.sequence.witness
-            for i, j in final.relation_pairs():
+            for i, j in relation_pairs(final):
                 assert Q.less(witness[i], witness[j])
 
     def test_flips_join_comparability_classes_small(self):

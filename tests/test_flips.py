@@ -76,7 +76,7 @@ class TestClassify:
         assert lower == (P.mask_of(["a", "s1"]),)
         assert not upper and not good
         dec = decompose(P, S, T)
-        assert len(dec.lower) == 1 and len(dec.upper) == 0
+        assert len(dec.lower.sets) == 1 and len(dec.upper.sets) == 0
         assert flips._rebuild(dec) == frozenset(lower)
 
     def test_tube_inside_subset_is_good(self, three_chain):
@@ -93,7 +93,7 @@ class TestClassify:
         _, lower, upper = oracle_classify(P, S, T)
         assert upper == (P.mask_of(["s2", "a"]),) and not lower
         dec = decompose(P, S, T)
-        assert len(dec.lower) == 0 and len(dec.upper) == 1
+        assert len(dec.lower.sets) == 0 and len(dec.upper.sets) == 1
         assert flips._rebuild(dec) == frozenset(upper)
 
     def test_not_autonomous(self):
@@ -137,7 +137,7 @@ class TestDecompose:
         assert dec.lower.starred == (True,)
         assert dec.blocks == (P.mask_of(["s1"]), P.mask_of(["s2"]))
         assert dec.has_remainder
-        assert len(dec.upper) == 0
+        assert len(dec.upper.sets) == 0
 
     def test_untouched_subset_is_one_block(self, three_chain):
         P, S = three_chain
@@ -337,14 +337,16 @@ def _oracle_flip(P, S, flipped, T, proper):
     """One tubing through fresh steps, its input and image checked listwise.
 
     ``proper`` is ``listwise_is_tubing(P, T)``, which does not depend on S.
-    The good tubes come from ``oracle_classify``, and the bad ones from the
-    public ``decompose``, its blocks reversed and rebuilt.
+    The good tubes and the lower and upper chains come from
+    ``oracle_classify``.  The chains go straight to ``flips._decompose``,
+    the last step of ``decompose``, since the public call would check the
+    tubing again; the decomposition's blocks are reversed and rebuilt.
     """
     tubes = list(T)
     if not proper:
         raise NotATubing("oracle input is not a proper tubing")
-    good, _, _ = oracle_classify(P, S, tubes)
-    reversed_dec = decompose(P, S, tubes).reversed_blocks()
+    good, lower, upper = oracle_classify(P, S, tubes)
+    reversed_dec = flips._decompose(S, lower, upper).reversed_blocks()
     reversed_dec.validate(S)
     image = good | flips._rebuild(reversed_dec)
     if len(image) != len(tubes) or not listwise_is_tubing(flipped, image):

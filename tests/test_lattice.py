@@ -551,6 +551,20 @@ class TestFaceProducts:
         with pytest.raises(NotATubing):
             face_product_decomposition(chain(3), [tube])
 
+    @pytest.mark.parametrize(
+        "P, tubing, error",
+        [
+            (antichain(3), [], DisconnectedPoset),
+            (chain(1), [], TooSmall),
+            # {a < b, c}: {a, b} is convex and connected, but c meets nothing
+            (Poset(["a", "b", "c"], [0b010, 0, 0]), [0b011], DisconnectedPoset),
+        ],
+        ids=["antichain-3", "chain-1", "chain-2-and-point"],
+    )
+    def test_no_associahedron(self, P, tubing, error):
+        with pytest.raises(error):
+            face_product_decomposition(P, tubing)
+
     def test_pinned_digest(self):
         # labels, element order and rows of every factor of every tubing of
         # the connected posets with 2-5 elements, tubings in sorted order
